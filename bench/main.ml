@@ -18,6 +18,10 @@
 open Bechamel
 open Toolkit
 
+(* Run timed waits as [timebounds] does (see bin/timebounds.ml), so the
+   runtime group's timer row measures the deployed precision. *)
+let () = Prelude.Mclock.set_timer_slack_ns 1_000
+
 let reports () =
   List.map
     (fun (e : Experiments.Registry.entry) -> e.run ())
@@ -124,7 +128,61 @@ module Live_bench = struct
            ignore (Runtime.Histogram.percentile h 99.)))
 end
 
-let runtime_tests = [ Live_bench.run_test; Live_bench.hist_test ]
+(* The mailbox on its own: the handoff every client invocation and peer
+   frame pays into a replica's loop, and the precision of the timed wait
+   behind every ε + X / d + ε − X response.  Takers always have a far
+   deadline pending, as a replica under load does. *)
+module Mailbox_bench = struct
+  module M = Runtime.Mailbox
+
+  let far () = Some (Prelude.Mclock.now_us () + 10_000_000)
+  let ping : int M.t = M.create ()
+  let pong : int M.t = M.create ()
+
+  (* Echo domain, started on first use and stopped (by a negative ping)
+     at exit. *)
+  let echo =
+    lazy
+      (let d =
+         Domain.spawn (fun () ->
+             let rec loop () =
+               match M.take ping ~deadline:(far ()) with
+               | Some v when v < 0 -> ()
+               | Some v ->
+                   M.put pong ~deliver_at:(Prelude.Mclock.now_us ()) v;
+                   loop ()
+               | None -> loop ()
+             in
+             loop ())
+       in
+       at_exit (fun () ->
+           M.put ping ~deliver_at:0 (-1);
+           Domain.join d))
+
+  let handoff_test =
+    Test.make ~name:"mailbox-handoff"
+      (Staged.stage (fun () ->
+           Lazy.force echo;
+           M.put ping ~deliver_at:(Prelude.Mclock.now_us ()) 1;
+           ignore (M.take pong ~deadline:(far ()))))
+
+  (* ns/run − 200 µs is how late the deadline fired. *)
+  let idle : unit M.t = M.create ()
+
+  let timer_test =
+    Test.make ~name:"timer-deadline-200us"
+      (Staged.stage (fun () ->
+           ignore
+             (M.take idle ~deadline:(Some (Prelude.Mclock.now_us () + 200)))))
+end
+
+let runtime_tests =
+  [
+    Live_bench.run_test;
+    Live_bench.hist_test;
+    Mailbox_bench.handoff_test;
+    Mailbox_bench.timer_test;
+  ]
 
 (* Wire-codec group: cost of putting Algorithm 1 entries on the wire.  The
    TCP transport encodes every broadcast entry once per peer and CRCs the
@@ -563,7 +621,8 @@ module Sync_bench = struct
            while (not (enough ())) && Prelude.Mclock.now_us () < deadline do
              Prelude.Mclock.sleep_us 1_000
            done;
-           Array.iter (fun node -> ignore (R.node_stop node)) nodes))
+           Array.iter (fun node -> ignore (R.node_stop node)) nodes;
+           Runtime.Transport_intf.close transport))
 end
 
 let sync_tests =

@@ -33,20 +33,21 @@ let fsync_to_string = function
 
 (* ---- CRC-32 (IEEE 802.3, reflected), same table as the wire codec ---- *)
 
+(* Eager, like the codec's: shard threads may append concurrently, and a
+   [lazy] forced by two of them at once raises. *)
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
 let crc32 s =
-  let table = Lazy.force crc_table in
   let crc = ref 0xffffffff in
   String.iter
-    (fun ch -> crc := table.((!crc lxor Char.code ch) land 0xff) lxor (!crc lsr 8))
+    (fun ch ->
+      crc := crc_table.((!crc lxor Char.code ch) land 0xff) lxor (!crc lsr 8))
     s;
   !crc lxor 0xffffffff
 

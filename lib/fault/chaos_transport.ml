@@ -61,9 +61,6 @@ let pp_event fmt ev =
 
 (* ---- the decorator ---- *)
 
-(* The drainer wakes at least every [park_poll_us] to notice [stop]. *)
-let park_poll_us = 50_000
-
 let wrap_transport (t : t) ~start_us (inner : 'msg Runtime.Transport_intf.t) :
     'msg Runtime.Transport_intf.t =
   if Fault_plan.is_empty t.plan then inner
@@ -78,17 +75,35 @@ let wrap_transport (t : t) ~start_us (inner : 'msg Runtime.Transport_intf.t) :
       Runtime.Mailbox.create ()
     in
     let chaos_dropped = Atomic.make 0 in
-    let stop = Atomic.make false in
+    let forward (src, dst, trace, msg) =
+      inner.Runtime.Transport_intf.send ~src ~dst ~trace msg
+    in
+    (* The drainer sleeps until a parked message ripens.  Closing the
+       mailbox wakes it; it then forwards what is still parked — closing
+       the chaos layer must not silently lose messages the plan decided to
+       merely delay — but waits them out for at most 2 s, in case a plan
+       injected a huge spike. *)
     let drainer =
       Thread.create
         (fun () ->
-          while not (Atomic.get stop) do
-            let deadline = Prelude.Mclock.now_us () + park_poll_us in
-            match Runtime.Mailbox.take parked ~deadline:(Some deadline) with
-            | Some (src, dst, trace, msg) ->
-                inner.Runtime.Transport_intf.send ~src ~dst ~trace msg
+          let rec drain () =
+            match Runtime.Mailbox.take parked ~deadline:None with
+            | Some m ->
+                forward m;
+                drain ()
             | None -> ()
-          done)
+          in
+          drain ();
+          let give_up = Prelude.Mclock.now_us () + 2_000_000 in
+          let rec flush () =
+            if Runtime.Mailbox.length parked > 0 then
+              match Runtime.Mailbox.take parked ~deadline:(Some give_up) with
+              | Some m ->
+                  forward m;
+                  flush ()
+              | None -> ()
+          in
+          flush ())
         ()
     in
     (* Obs payload convention for fault events: a = action code
@@ -137,27 +152,8 @@ let wrap_transport (t : t) ~start_us (inner : 'msg Runtime.Transport_intf.t) :
       }
     in
     let close () =
-      Atomic.set stop true;
+      Runtime.Mailbox.close parked;
       Thread.join drainer;
-      (* Forward anything still parked: closing the chaos layer must not
-         silently lose messages the plan decided to merely delay.  Parked
-         items ripen at their stretched delivery time, so wait them out —
-         but never longer than 2 s, in case a plan injected a huge spike. *)
-      let give_up = Prelude.Mclock.now_us () + 2_000_000 in
-      let rec drain () =
-        if Runtime.Mailbox.length parked > 0 && Prelude.Mclock.now_us () < give_up
-        then begin
-          (match
-             Runtime.Mailbox.take parked
-               ~deadline:(Some (min give_up (Prelude.Mclock.now_us () + park_poll_us)))
-           with
-          | Some (src, dst, trace, msg) ->
-              inner.Runtime.Transport_intf.send ~src ~dst ~trace msg
-          | None -> ());
-          drain ()
-        end
-      in
-      drain ();
       inner.Runtime.Transport_intf.close ()
     in
     { inner with Runtime.Transport_intf.send; stats; close }

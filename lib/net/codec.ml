@@ -48,20 +48,20 @@ type 'a progress =
 
 (* ---- CRC-32 (IEEE 802.3, reflected, poly 0xedb88320) ---- *)
 
+(* Built at module initialisation, before any domain can encode: a [lazy]
+   forced by two domains at once raises [CamlinternalLazy.Undefined]. *)
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
 let crc32_update crc s ~pos ~len =
-  let table = Lazy.force crc_table in
   let crc = ref crc in
   for i = pos to pos + len - 1 do
-    crc := table.((!crc lxor Char.code s.[i]) land 0xff) lxor (!crc lsr 8)
+    crc := crc_table.((!crc lxor Char.code s.[i]) land 0xff) lxor (!crc lsr 8)
   done;
   !crc
 

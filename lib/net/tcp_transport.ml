@@ -76,9 +76,36 @@ let atomic_max a v =
 
 type client_conn = {
   conn_fd : Unix.file_descr;
-  mutable residual : string;  (** bytes read past the frame last returned *)
+  mutable buf : string;  (** bytes read so far; undecoded from [pos] *)
+  mutable pos : int;
   ctrs : counters;
 }
+
+(* The next frame of the stream whose undecoded bytes are [buf] from
+   [pos]: decoded in place when a whole frame is buffered, otherwise after
+   reading at least the missing bytes from [fd].  The unread tail is copied
+   once per refill, never once per frame, so a read carrying many frames
+   decodes in linear time. *)
+let rec next_frame ctrs fd chunk buf pos =
+  match Codec.decode_frame ~pos buf with
+  | Codec.Got (frame, next) -> `Frame (frame, buf, next)
+  | Codec.Corrupt e -> `Corrupt e
+  | Codec.Need_more missing ->
+      let tail = String.length buf - pos in
+      let b = Buffer.create (tail + Bytes.length chunk) in
+      Buffer.add_substring b buf pos tail;
+      let rec fill () =
+        Buffer.length b >= tail + missing
+        ||
+        match Unix.read fd chunk 0 (Bytes.length chunk) with
+        | 0 -> false
+        | n ->
+            ignore (Atomic.fetch_and_add ctrs.bytes_in n);
+            Buffer.add_subbytes b chunk 0 n;
+            fill ()
+        | exception (Unix.Unix_error _ | Sys_error _) -> false
+      in
+      if fill () then next_frame ctrs fd chunk (Buffer.contents b) 0 else `Eof
 
 (* Sockets carry SO_SNDTIMEO, so a blocking [write] to a wedged peer
    returns [EAGAIN] every slice instead of parking the thread on the
@@ -119,22 +146,14 @@ let conn_write conn s =
   | exception (Unix.Unix_error _ | Sys_error _) -> false
 
 let conn_read_frame conn =
-  let chunk = Bytes.create 8192 in
-  let rec go acc =
-    match Codec.decode_frame acc with
-    | Codec.Got (frame, next) ->
-        conn.residual <- String.sub acc next (String.length acc - next);
-        Some frame
-    | Codec.Corrupt _ -> None
-    | Codec.Need_more _ -> (
-        match Unix.read conn.conn_fd chunk 0 (Bytes.length chunk) with
-        | 0 -> None
-        | n ->
-            ignore (Atomic.fetch_and_add conn.ctrs.bytes_in n);
-            go (acc ^ Bytes.sub_string chunk 0 n)
-        | exception (Unix.Unix_error _ | Sys_error _) -> None)
-  in
-  go conn.residual
+  match
+    next_frame conn.ctrs conn.conn_fd (Bytes.create 8192) conn.buf conn.pos
+  with
+  | `Frame (frame, buf, next) ->
+      conn.buf <- buf;
+      conn.pos <- next;
+      Some frame
+  | `Corrupt _ | `Eof -> None
 
 (* ---- transport state ---- *)
 
@@ -145,6 +164,9 @@ type 'msg state = {
   hello : string;
   listener : listener;
   box : (int * 'msg) Runtime.Mailbox.t;
+  deliver : src:int -> 'msg -> unit;
+      (** where decoded peer messages and self-sends go: [box] unless the
+          caller routes them itself *)
   links : link array;
   ctrs : counters;
   stopping : bool Atomic.t;
@@ -277,27 +299,22 @@ let writer_loop st link =
 
 (* ---- incoming connections ---- *)
 
-(* Incremental frame stream over a connection; calls [on_frame] until EOF
-   or corruption.  Returns the leftover bytes past the last frame handed
-   out (for handing a client connection over mid-buffer). *)
-let read_frames st fd ~(on_frame : Codec.frame -> rest:string -> bool) =
+(* Incremental frame stream over a connection; calls [on_frame] until EOF,
+   corruption, or [on_frame] returns [false].  [buf]/[pos] locate the bytes
+   past the frame handed out (for handing a client connection over
+   mid-buffer). *)
+let read_frames st fd
+    ~(on_frame : Codec.frame -> buf:string -> pos:int -> bool) =
   let chunk = Bytes.create 8192 in
-  let rec go acc =
-    match Codec.decode_frame acc with
-    | Codec.Got (frame, next) ->
-        let rest = String.sub acc next (String.length acc - next) in
-        if on_frame frame ~rest then go rest else ()
-    | Codec.Corrupt e ->
+  let rec go buf pos =
+    match next_frame st.ctrs fd chunk buf pos with
+    | `Frame (frame, buf, next) ->
+        if on_frame frame ~buf ~pos:next then go buf next
+    | `Corrupt e ->
         st.log (Printf.sprintf "replica %d: corrupt frame: %s" st.me e)
-    | Codec.Need_more _ -> (
-        match Unix.read fd chunk 0 (Bytes.length chunk) with
-        | 0 -> ()
-        | n ->
-            ignore (Atomic.fetch_and_add st.ctrs.bytes_in n);
-            go (acc ^ Bytes.sub_string chunk 0 n)
-        | exception (Unix.Unix_error _ | Sys_error _) -> ())
+    | `Eof -> ()
   in
-  go ""
+  go "" 0
 
 (* Deregister and close an accepted fd exactly once: whoever removes it
    from the list (this reader on exit, or [close] draining it) owns the
@@ -315,14 +332,11 @@ let release_conn st fd =
 
 let reader st classify_hello decode_peer on_client fd =
   let role = ref `Unknown in
-  read_frames st fd ~on_frame:(fun frame ~rest ->
+  read_frames st fd ~on_frame:(fun frame ~buf ~pos ->
       match !role with
       | `Peer src ->
           (match decode_peer ~src frame with
-          | Some msg ->
-              Runtime.Mailbox.put st.box
-                ~deliver_at:(Prelude.Mclock.now_us ())
-                (src, msg)
+          | Some msg -> st.deliver ~src msg
           | None -> ());
           true
       | `Unknown -> (
@@ -338,7 +352,7 @@ let reader st classify_hello decode_peer on_client fd =
               (match on_client with
               | Some handler ->
                   handler ~first:frame
-                    { conn_fd = fd; residual = rest; ctrs = st.ctrs }
+                    { conn_fd = fd; buf; pos; ctrs = st.ctrs }
               | None ->
                   st.log
                     (Printf.sprintf
@@ -375,7 +389,7 @@ let acceptor_loop st classify_hello decode_peer on_client =
 
 let create (type msg) ~me ~addrs ~listener ~hello ~classify_hello
     ~(decode_peer : src:int -> Codec.frame -> msg option)
-    ~(encode_peer : msg -> string) ?on_client ?(max_queue = 4096)
+    ~(encode_peer : msg -> string) ?deliver ?on_client ?(max_queue = 4096)
     ?(max_lane_bytes = 4 lsl 20) ?(lane_of : (msg -> Lanes.lane) option)
     ?(write_stall_us = 2_000_000) ?(backoff_min_us = 20_000)
     ?(backoff_max_us = 1_000_000) ?(log = fun s -> prerr_endline s) () :
@@ -383,6 +397,15 @@ let create (type msg) ~me ~addrs ~listener ~hello ~classify_hello
   let n = Array.length addrs in
   if me < 0 || me >= n then invalid_arg "Tcp_transport.create: me out of range";
   let lane_of = match lane_of with Some f -> f | None -> fun _ -> Lanes.Data in
+  let box = Runtime.Mailbox.create () in
+  let deliver =
+    match deliver with
+    | Some f -> f
+    | None ->
+        fun ~src msg ->
+          Runtime.Mailbox.put box ~deliver_at:(Prelude.Mclock.now_us ())
+            (src, msg)
+  in
   let st =
     {
       me;
@@ -390,7 +413,8 @@ let create (type msg) ~me ~addrs ~listener ~hello ~classify_hello
       addrs;
       hello;
       listener;
-      box = Runtime.Mailbox.create ();
+      box;
+      deliver;
       links =
         Array.init n (fun dst ->
             {
@@ -437,8 +461,7 @@ let create (type msg) ~me ~addrs ~listener ~hello ~classify_hello
   let send ~src:_ ~dst ~trace msg =
     Atomic.incr st.ctrs.sent;
     Obs.Recorder.emit ~pid:me ~kind:Obs.Event.Send ~trace ~a:dst ();
-    if dst = me then
-      Runtime.Mailbox.put st.box ~deliver_at:(Prelude.Mclock.now_us ()) (me, msg)
+    if dst = me then st.deliver ~src:me msg
     else if dst < 0 || dst >= n then
       invalid_arg "Tcp_transport.send: dst out of range"
     else begin
@@ -522,7 +545,10 @@ let create (type msg) ~me ~addrs ~listener ~hello ~classify_hello
         (fun fd ->
           quiet_shutdown fd;
           quiet_close fd)
-        conns
+        conns;
+      (* Wakes a consumer blocked in [recv]; a reader still draining its
+         socket may [put] afterwards — queued, harmlessly, with no wake. *)
+      Runtime.Mailbox.close st.box
     end
   in
   { Runtime.Transport_intf.n; send; post; recv; depth; stats; close }

@@ -82,6 +82,7 @@ val create :
   classify_hello:(Codec.frame -> hello_verdict) ->
   decode_peer:(src:int -> Codec.frame -> 'msg option) ->
   encode_peer:('msg -> string) ->
+  ?deliver:(src:int -> 'msg -> unit) ->
   ?on_client:(first:Codec.frame -> client_conn -> unit) ->
   ?max_queue:int ->
   ?max_lane_bytes:int ->
@@ -100,6 +101,11 @@ val create :
     [decode_peer] turns a received frame from peer [src] into a message
     (typically [Replica.net] of a decoded entry); [None] skips the frame.
     [encode_peer] is its inverse for {!Runtime.Transport_intf.send}.
+    Decoded messages (and sends to [me]) go to the transport's own mailbox,
+    read by [recv], unless [deliver] is given: a host that demultiplexes
+    messages to several consumers routes them there directly, from the
+    reader thread, with no relay thread in between; [recv] then only sees
+    [post]ed messages.
     [on_client] runs in the accepting connection's own thread and owns the
     connection until it returns; invocations may block there without
     stalling peer traffic.
@@ -109,5 +115,5 @@ val create :
 
     Defaults: [max_queue] 4096 frames/link, [max_lane_bytes] 4 MiB/link,
     [write_stall_us] 2 s, backoff 20 ms → 1 s, [log] writes to [stderr].
-    [close] shuts down every socket and joins the acceptor and writer
-    threads. *)
+    [close] shuts down every socket, joins the acceptor and writer
+    threads, and closes the mailbox (waking a blocked [recv]). *)

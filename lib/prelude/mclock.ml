@@ -16,3 +16,13 @@ let now_us () =
   publish ()
 
 let sleep_us us = if us > 0 then Unix.sleepf (float_of_int us *. 1e-6)
+
+(* [/proc/<tid>/timerslack_ns] names one thread, and a thread may always
+   set its own; [/proc/thread-self] links to [<pid>/task/<tid>]. *)
+let set_timer_slack_ns ns =
+  try
+    let tid = Filename.basename (Unix.readlink "/proc/thread-self") in
+    Out_channel.with_open_text
+      (Printf.sprintf "/proc/%s/timerslack_ns" tid)
+      (fun oc -> output_string oc (string_of_int ns))
+  with Sys_error _ | Unix.Unix_error _ -> ()

@@ -20,3 +20,11 @@ val sleep_us : int -> unit
 (** Block the calling domain for (at least) the given number of
     microseconds; no-op when non-positive.  Actual resolution is the OS
     scheduler's (tens of microseconds on Linux). *)
+
+val set_timer_slack_ns : int -> unit
+(** Set the calling thread's timer slack — how far the kernel may defer a
+    timed wakeup to batch it with others (Linux's default is 50 µs) — by
+    writing its [/proc/<tid>/timerslack_ns].  Threads and domains inherit
+    the slack of the thread that spawns them, so called from the main
+    thread before any spawn it covers the whole process.  Best-effort: a
+    no-op where the file is missing or not writable. *)

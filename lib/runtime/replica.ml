@@ -1252,9 +1252,10 @@ module Make (D : Spec.Data_type.S) = struct
       | Some (_, Stop) -> drain_on_stop ()
       | None -> (
           (* The earliest timer is due, and (per [Mailbox.take]) no ripe
-             message predates it: fire exactly one and re-merge. *)
+             message predates it: fire exactly one and re-merge.  With no
+             timer pending, [None] means the transport was closed. *)
           match ls.timers with
-          | [] -> loop ()
+          | [] -> drain_on_stop ()
           | e :: rest ->
               ls.timers <- rest;
               (match e.timer with
@@ -1470,6 +1471,10 @@ module Make (D : Spec.Data_type.S) = struct
       match start_us with Some s -> s | None -> Prelude.Mclock.now_us ()
     in
     let body () =
+      (* The loop's timers are the paper's ε + X and d + ε − X waits, so
+         kernel timer slack is overhead above the bound: ask for 1 µs on
+         this thread, whatever program hosts it. *)
+      Prelude.Mclock.set_timer_slack_ns 1_000;
       run_replica ~params ?recovery ?fallback ?sync ~transport ~start_us
         ~offset pid
     in
@@ -1597,6 +1602,7 @@ module Make (D : Spec.Data_type.S) = struct
       let records =
         Array.to_list cluster.nodes |> List.concat_map node_stop
       in
+      Transport_intf.close cluster.transport;
       cluster.records <-
         List.sort
           (fun (a : record) b ->

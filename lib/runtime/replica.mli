@@ -335,7 +335,8 @@ module Make (D : Spec.Data_type.S) : sig
   end
 
   val stop : cluster -> unit
-  (** Shut every replica down and join its domain.  Idempotent. *)
+  (** Shut every replica down, join its domain, and close the cluster's
+      transport.  Idempotent. *)
 
   val history : cluster -> record list
   (** Completed operations of a {e stopped} cluster, sorted by invocation

@@ -16,9 +16,10 @@
       the co-located application layer invoking an operation, not a
       network hop.
     - {!recv} blocks on endpoint [me]'s mailbox with {!Mailbox.take}
-      deadline semantics.
-    - {!close} releases any OS resources (threads, sockets); the bus
-      transport has none, so there it is a no-op. *)
+      deadline semantics; with [deadline:None] it returns [None] only once
+      the transport is closed.
+    - {!close} releases the transport's OS resources (threads, sockets,
+      mailbox wake pipes) and wakes any blocked {!recv}. *)
 
 type link_stats = {
   reconnects : int;

@@ -4,9 +4,9 @@
 
     The multiplexing is the whole trick.  A host opens exactly the link
     topology an unsharded [Net.Serve] stack does (one outgoing connection
-    per peer), and every codec-v4 frame carries its shard id; a dispatcher
-    thread drains the TCP transport's mailbox and routes each decoded
-    message into the owning shard's own {!Runtime.Mailbox}.  Each shard
+    per peer), and every codec-v4 frame carries its shard id; the TCP
+    transport's reader threads route each decoded message straight into
+    the owning shard's own {!Runtime.Mailbox}.  Each shard
     then runs behind a {e facade} transport — send tags outgoing frames
     with the shard id, recv/post/depth operate on the shard's mailbox —
     so [Runtime.Replica] hosts it unchanged: the shard neither knows nor
@@ -61,8 +61,6 @@ module Make (W : Net.Wire.WIRED) = struct
     transport : (int * R.event) T.t;  (** the shared TCP transport *)
     facades : R.event T.t array;  (** per-shard views, index = shard *)
     nodes : R.node array;
-    dispatcher : Thread.t;
-    dispatcher_on : bool Atomic.t;
     recorder : (Obs.Recorder.t * (unit -> unit)) option;
     stores : Durable.Store.t option array;
     snap_stop : bool Atomic.t;
@@ -256,8 +254,8 @@ module Make (W : Net.Wire.WIRED) = struct
 
   (* Shard [k]'s view of the shared transport.  [send] rides the real
      links with the shard tag; [post]/[recv]/[depth] are the shard's own
-     mailbox (the dispatcher feeds it); [close] is a no-op — the host owns
-     the one real close. *)
+     mailbox (the readers feed it); [close] closes only that mailbox —
+     the host owns the one real close. *)
   let facade_of ~real ~mbox ~shard =
     {
       T.n = real.T.n;
@@ -269,7 +267,7 @@ module Make (W : Net.Wire.WIRED) = struct
       recv = (fun ~me:_ ~deadline -> Runtime.Mailbox.take mbox ~deadline);
       depth = (fun ~me:_ -> Runtime.Mailbox.length mbox);
       stats = real.T.stats;
-      close = (fun () -> ());
+      close = (fun () -> Runtime.Mailbox.close mbox);
     }
 
   let wrap_chaos cfg shard facade =
@@ -401,31 +399,21 @@ module Make (W : Net.Wire.WIRED) = struct
           Obs.Recorder.install r;
           Some (r, close)
     in
+    let mboxes = Array.init cfg.shards (fun _ -> Runtime.Mailbox.create ()) in
+    (* Readers route each decoded (shard, event) straight into the owning
+       shard's mailbox — [decode_peer] already rejected out-of-range shard
+       ids — so a peer frame costs one wakeup, not a relay hop. *)
+    let deliver ~src (shard, ev) =
+      Runtime.Mailbox.put mboxes.(shard)
+        ~deliver_at:(Prelude.Mclock.now_us ())
+        (src, ev)
+    in
     let transport =
       Net.Tcp_transport.create ~me:cfg.pid ~addrs:cfg.addrs ~listener
         ~hello:(C.encode (C.Hello (hello_of cfg)))
         ~classify_hello:(classify_hello cfg)
         ~decode_peer:(decode_peer ~shards:cfg.shards ~me:cfg.pid)
-        ~encode_peer ~on_client ~lane_of ~log:cfg.log ()
-    in
-    let mboxes = Array.init cfg.shards (fun _ -> Runtime.Mailbox.create ()) in
-    (* The dispatcher is the only consumer of the shared transport's
-       mailbox: it fans decoded (shard, event) messages out to the owning
-       shard.  Bounded-deadline recv keeps it responsive to shutdown. *)
-    let dispatcher_on = Atomic.make true in
-    let dispatcher =
-      Thread.create
-        (fun () ->
-          while Atomic.get dispatcher_on do
-            let deadline = Some (Prelude.Mclock.now_us () + 50_000) in
-            match T.recv transport ~me:cfg.pid ~deadline with
-            | Some (src, (shard, ev)) when shard >= 0 && shard < cfg.shards ->
-                Runtime.Mailbox.put mboxes.(shard)
-                  ~deliver_at:(Prelude.Mclock.now_us ())
-                  (src, ev)
-            | _ -> ()
-          done)
-        ()
+        ~encode_peer ~deliver ~on_client ~lane_of ~log:cfg.log ()
     in
     let facades =
       Array.init cfg.shards (fun k ->
@@ -592,8 +580,6 @@ module Make (W : Net.Wire.WIRED) = struct
       transport;
       facades;
       nodes;
-      dispatcher;
-      dispatcher_on;
       recorder;
       stores;
       snap_stop;
@@ -602,7 +588,8 @@ module Make (W : Net.Wire.WIRED) = struct
     }
 
   (* Stop order: shard nodes first (wakes any client handler blocked on an
-     invocation cell), then the dispatcher and the shared transport, then
+     invocation cell), then the shard facades (a chaos layer flushes what
+     it parked into the still-open links), then the shared transport, then
      the stores, the recorder last.  Returns per-shard completed-operation
      records. *)
   let stop handle =
@@ -611,8 +598,7 @@ module Make (W : Net.Wire.WIRED) = struct
       Atomic.set handle.snap_stop true;
       let records = Array.map R.node_stop handle.nodes in
       Option.iter Thread.join handle.snap_thread;
-      Atomic.set handle.dispatcher_on false;
-      Thread.join handle.dispatcher;
+      Array.iter T.close handle.facades;
       let stats = T.stats handle.transport in
       T.close handle.transport;
       Array.iter

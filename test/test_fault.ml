@@ -157,7 +157,7 @@ let toy_transport n =
           dropped = 0;
           link = None;
         });
-    close = (fun () -> ());
+    close = (fun () -> Array.iter Runtime.Mailbox.close boxes);
   }
 
 let drain t ~me =

@@ -31,27 +31,36 @@ let frame_trailing_bytes =
           && next = String.length s - String.length garbage
       | _ -> false)
 
+(* The corruption properties decode at an offset: stream readers decode
+   frames in place, [~pos] bytes into their buffer, so the frame sits
+   behind a prefix of arbitrary bytes (empty half the time). *)
+let prefix = QCheck.(string_of_size Gen.(oneof [ return 0; 1 -- 40 ]))
+
 let frame_truncation =
   QCheck.Test.make ~count:300 ~name:"truncated frames never parse, never raise"
-    QCheck.(pair (string_of_size Gen.(0 -- 256)) pos_int)
-    (fun (payload, cut) ->
+    QCheck.(triple prefix (string_of_size Gen.(0 -- 256)) pos_int)
+    (fun (pre, payload, cut) ->
       let s = Net.Codec.encode_frame ~kind:1 ~payload in
       let keep = cut mod String.length s in
-      let truncated = String.sub s 0 keep in
-      match Net.Codec.decode_frame truncated with
+      let truncated = pre ^ String.sub s 0 keep in
+      match Net.Codec.decode_frame ~pos:(String.length pre) truncated with
       | Net.Codec.Need_more _ -> true
       | Net.Codec.Got _ | Net.Codec.Corrupt _ -> false)
 
 let frame_bit_flip =
   QCheck.Test.make ~count:500 ~name:"single bit flips are always detected"
-    QCheck.(pair (string_of_size Gen.(0 -- 128)) (pair pos_int pos_int))
-    (fun (payload, (byte_choice, bit_choice)) ->
+    QCheck.(
+      triple prefix (string_of_size Gen.(0 -- 128)) (pair pos_int pos_int))
+    (fun (pre, payload, (byte_choice, bit_choice)) ->
       let s = Net.Codec.encode_frame ~kind:2 ~payload in
       let i = byte_choice mod String.length s in
       let bit = bit_choice mod 8 in
       let b = Bytes.of_string s in
       Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)));
-      match Net.Codec.decode_frame (Bytes.to_string b) with
+      match
+        Net.Codec.decode_frame ~pos:(String.length pre)
+          (pre ^ Bytes.to_string b)
+      with
       | Net.Codec.Got _ -> false (* a flip must never yield a valid frame *)
       | Net.Codec.Corrupt _ -> true
       | Net.Codec.Need_more _ ->

@@ -159,7 +159,131 @@ let test_mailbox_order_and_deadline () =
     (Runtime.Mailbox.take box ~deadline:(Some (now - 100)));
   Alcotest.(check (option string))
     "…but surfaced once the deadline is later" (Some "after-deadline")
-    (Runtime.Mailbox.take box ~deadline:None)
+    (Runtime.Mailbox.take box ~deadline:None);
+  Runtime.Mailbox.close box
+
+(* The contract tests below bound nothing by wall-clock time except
+   against deadlines seconds away, so a loaded machine cannot flake them. *)
+
+let test_mailbox_parked_taker_woken () =
+  let box = Runtime.Mailbox.create () in
+  let deadline = Prelude.Mclock.now_us () + 10_000_000 in
+  let taker =
+    Domain.spawn (fun () ->
+        let r = Runtime.Mailbox.take box ~deadline:(Some deadline) in
+        (r, Prelude.Mclock.now_us ()))
+  in
+  Runtime.Mailbox.put box ~deliver_at:(Prelude.Mclock.now_us ()) "hello";
+  let r, returned = Domain.join taker in
+  Alcotest.(check (option string)) "the put item" (Some "hello") r;
+  Alcotest.(check bool) "long before the 10 s deadline" true
+    (returned < deadline - 5_000_000);
+  Runtime.Mailbox.close box
+
+let test_mailbox_close_wakes_taker () =
+  let box : int Runtime.Mailbox.t = Runtime.Mailbox.create () in
+  let taker =
+    Domain.spawn (fun () -> Runtime.Mailbox.take box ~deadline:None)
+  in
+  Runtime.Mailbox.close box;
+  Alcotest.(check (option int)) "unbounded take ends in None" None
+    (Domain.join taker);
+  (* closed: ripe items still come out, then [None] without blocking *)
+  Runtime.Mailbox.put box ~deliver_at:0 7;
+  Alcotest.(check (option int)) "ripe item after close" (Some 7)
+    (Runtime.Mailbox.take box ~deadline:None);
+  Alcotest.(check (option int)) "then None" None
+    (Runtime.Mailbox.take box ~deadline:None);
+  Runtime.Mailbox.close box
+
+let test_mailbox_never_early () =
+  let box : unit Runtime.Mailbox.t = Runtime.Mailbox.create () in
+  for i = 0 to 199 do
+    let deadline = Prelude.Mclock.now_us () + (i * 7 mod 300) in
+    let r = Runtime.Mailbox.take box ~deadline:(Some deadline) in
+    let now = Prelude.Mclock.now_us () in
+    if r <> None || now < deadline then
+      Alcotest.failf "take returned %d µs before its deadline" (deadline - now)
+  done;
+  Runtime.Mailbox.close box
+
+let test_mailbox_unparked_put_is_free () =
+  let box = Runtime.Mailbox.create () in
+  for i = 1 to 100 do
+    Runtime.Mailbox.put box ~deliver_at:(Prelude.Mclock.now_us ()) i
+  done;
+  Alcotest.(check int) "all queued" 100 (Runtime.Mailbox.length box);
+  for _ = 1 to 100 do
+    ignore (Runtime.Mailbox.take box ~deadline:None)
+  done;
+  Alcotest.(check int) "no wake byte written" 0 (Runtime.Mailbox.wakes box);
+  Runtime.Mailbox.close box
+
+(* Three putter domains race; every item is ripe, with deliver_at drawn
+   from a tiny range so ties are common.  Each putter's deliver_at
+   sequence is non-decreasing, so (deliver_at, insertion) order must also
+   keep each putter's items in its own program order. *)
+let mailbox_concurrent_order =
+  QCheck.Test.make ~count:30
+    ~name:"concurrent puts come out in (deliver_at, insertion) order"
+    QCheck.(
+      triple
+        (list_of_size Gen.(0 -- 40) (int_bound 3))
+        (list_of_size Gen.(0 -- 40) (int_bound 3))
+        (list_of_size Gen.(0 -- 40) (int_bound 3)))
+    (fun (a, b, c) ->
+      let box = Runtime.Mailbox.create () in
+      let base = Prelude.Mclock.now_us () - 1_000 in
+      let putter p steps =
+        Domain.spawn (fun () ->
+            ignore
+              (List.fold_left
+                 (fun (at, i) step ->
+                   let at = at + step in
+                   Runtime.Mailbox.put box ~deliver_at:(base + at) (at, p, i);
+                   (at, i + 1))
+                 (0, 0) steps))
+      in
+      List.iter Domain.join [ putter 0 a; putter 1 b; putter 2 c ];
+      let rec drain acc =
+        match
+          Runtime.Mailbox.take box ~deadline:(Some (Prelude.Mclock.now_us ()))
+        with
+        | Some x -> drain (x :: acc)
+        | None -> List.rev acc
+      in
+      let out = drain [] in
+      Runtime.Mailbox.close box;
+      let rec sorted = function
+        | (at1, _, _) :: ((at2, _, _) :: _ as tl) -> at1 <= at2 && sorted tl
+        | _ -> true
+      in
+      let fifo p =
+        List.filter_map (fun (_, q, i) -> if q = p then Some i else None) out
+      in
+      List.length out = List.length a + List.length b + List.length c
+      && sorted out
+      && List.for_all
+           (fun (p, steps) -> fifo p = List.init (List.length steps) Fun.id)
+           [ (0, a); (1, b); (2, c) ])
+
+(* Every mailbox owns a wake pipe until closed: stopping a cluster must
+   give back every descriptor its transport opened. *)
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
+let test_no_fd_leaks () =
+  if Sys.file_exists "/proc/self/fd" then begin
+    let module R = Runtime.Replica.Make (Spec.Register) in
+    let params = Core.Params.make ~n:3 ~d:2000 ~u:500 ~eps:400 ~x:0 () in
+    let before = open_fds () in
+    for _ = 1 to 200 do
+      R.stop (R.start ~params ())
+    done;
+    for _ = 1 to 2_000 do
+      Runtime.Mailbox.close (Runtime.Mailbox.create ())
+    done;
+    Alcotest.(check int) "descriptor count unchanged" before (open_fds ())
+  end
 
 (* ---- workload samplers agree with the data type's classification ---- *)
 
@@ -249,6 +373,16 @@ let () =
         [
           Alcotest.test_case "ordering & deadlines" `Quick
             test_mailbox_order_and_deadline;
+          Alcotest.test_case "parked taker woken by put" `Quick
+            test_mailbox_parked_taker_woken;
+          Alcotest.test_case "close wakes a parked taker" `Quick
+            test_mailbox_close_wakes_taker;
+          Alcotest.test_case "never None before the deadline" `Quick
+            test_mailbox_never_early;
+          Alcotest.test_case "put without a parked taker writes no wake"
+            `Quick test_mailbox_unparked_put_is_free;
+          QCheck_alcotest.to_alcotest ~long:false mailbox_concurrent_order;
+          Alcotest.test_case "no fd leaks" `Quick test_no_fd_leaks;
         ] );
       ( "workloads",
         [ Alcotest.test_case "samplers classify" `Quick test_samplers_classify ] );
