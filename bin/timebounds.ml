@@ -461,18 +461,29 @@ let sync_cmd () =
 
 (* ---- serve ---- *)
 
-let serve_cmd () =
-  let prog, argv = args "serve" in
+(* [timebounds serve] and [timebounds shards serve]: one replica process
+   hosting [shards] Algorithm-1 instances multiplexed over the shared
+   per-peer TCP links (normally forked by [cluster] / [shards cluster]).
+   [shards serve] only adds a required [--shards] and defaults the object
+   to kv. *)
+let serve ~sharded ~prog argv =
+  let default_object = if sharded then "kv" else "register" in
   let specs =
     [
       Cli.value "pid" "this replica's id, 0-based (required)";
       Cli.value "peers"
         "every replica's address as host:port,host:port,... (required; \
          index = pid)";
-      Cli.value "object"
-        (Printf.sprintf "wire object (%s; default register)"
-           (String.concat "|" Net.Wire.names));
     ]
+    @ (if sharded then
+         [ Cli.value "shards" "number of shard instances to host (required)" ]
+       else [])
+    @ [
+        Cli.value "object"
+          (Printf.sprintf "wire object (%s; default %s)"
+             (String.concat "|" Net.Wire.names)
+             default_object);
+      ]
     @ timing_specs
     @ [
         Cli.value "offset" "this replica's clock offset, µs (default 0)";
@@ -481,15 +492,15 @@ let serve_cmd () =
            replica of a cluster must use the same value";
         Cli.value "watch-parent" "exit when this OS pid disappears";
         Cli.value "chaos"
-          "fault plan spec, e.g. 'drop(20)/0>1;spike(3ms)@0.2s-0.6s' (see \
-           `timebounds chaos --help`)";
+          "fault plan spec, e.g. 'drop(20)/0>1;spike(3ms)@0.2s-0.6s'; scope \
+           a rule to one shard with %K (see `timebounds chaos --help`)";
         Cli.value "chaos-seed" "seed for the fault plan (default 0)";
         Cli.value "trace"
           "write this replica's observability events to FILE (binary; read \
            with `timebounds trace`)";
         Cli.value "durable"
-          "durable directory: WAL + snapshots; on start, recover and catch \
-           up from peers";
+          "durable root directory: WAL + snapshots per shard under \
+           <root>/shard-<k>; on start, recover and catch up from peers";
         Cli.value "fsync"
           "WAL fsync policy: always | interval[:N] | never (default \
            interval)";
@@ -513,7 +524,15 @@ let serve_cmd () =
   let n = Array.length addrs in
   if pid < 0 || pid >= n then
     Cli.fail c (Printf.sprintf "--pid %d out of range for %d peers" pid n);
-  let obj = Cli.str c "object" ~default:"register" in
+  let shards =
+    if not sharded then 1
+    else
+      match Cli.int_opt c "shards" with
+      | Some s when s >= 1 -> s
+      | Some _ -> Cli.fail c "--shards must be >= 1"
+      | None -> Cli.fail c "--shards is required"
+  in
+  let obj = Cli.str c "object" ~default:default_object in
   match Net.Wire.find obj with
   | None ->
       Format.eprintf "unknown wire object %s (have: %s)@." obj
@@ -531,20 +550,21 @@ let serve_cmd () =
       let start_us = Cli.int_opt c "epoch" in
       let watch_parent = Cli.int_opt c "watch-parent" in
       let log =
+        let tag = if sharded then "shards" else "serve" in
         if Cli.given c "quiet" then fun _ -> ()
-        else fun s -> Printf.eprintf "[serve] %s\n%!" s
+        else fun s -> Printf.eprintf "[%s] %s\n%!" tag s
       in
-      let wrap =
+      let chaos =
         match Cli.str_opt c "chaos" with
         | None -> None
         | Some spec -> (
             let cseed = Cli.int c "chaos-seed" ~default:0 in
             match Fault.Fault_plan.compile ~seed:cseed ~spec with
             | Error e -> Cli.fail c ("bad --chaos plan: " ^ e)
-            | Ok plan ->
-                Some
-                  (Fault.Chaos_transport.wrapper
-                     (Fault.Chaos_transport.create plan)))
+            | Ok plan -> (
+                match Net.Serve.check_chaos ~shards plan with
+                | Error e -> Cli.fail c ("bad --chaos plan: " ^ e)
+                | Ok () -> Some plan))
       in
       let trace = Cli.str_opt c "trace" in
       let durable = Cli.str_opt c "durable" in
@@ -559,7 +579,7 @@ let serve_cmd () =
         sync_args c ~d:params.Core.Params.d ~u:params.Core.Params.u
       in
       let module S = Net.Serve.Make (W) in
-      S.run_until_signalled ?watch_parent ?wrap
+      S.run_until_signalled ?watch_parent ~shards ?chaos
         {
           Net.Serve.pid;
           addrs;
@@ -574,6 +594,10 @@ let serve_cmd () =
           sync;
           log;
         }
+
+let serve_cmd () =
+  let prog, argv = args "serve" in
+  serve ~sharded:false ~prog argv
 
 (* ---- cluster ---- *)
 
@@ -848,6 +872,16 @@ let recover_cmd () =
 
 (* ---- trace ---- *)
 
+(* Every replica's trace file under [dir] ([Net.Cluster.trace_path]),
+   concatenated; a replica that never wrote one contributes nothing. *)
+let read_traces dir ~n =
+  List.concat_map
+    (fun i ->
+      match Net.Cluster.trace_path (Some dir) i with
+      | Some path when Sys.file_exists path -> Obs.Recorder.read_file path
+      | _ -> [])
+    (List.init n Fun.id)
+
 let trace_cmd () =
   let prog, argv = args "trace" in
   let specs =
@@ -978,15 +1012,7 @@ let trace_cmd () =
             ~log ~abort ?plan ?sync ~trace_dir ~ops ~seed ()
         in
         Format.printf "%a@.@." Net.Cluster.pp_report report;
-        let events =
-          List.concat_map
-            (fun i ->
-              let path =
-                Filename.concat trace_dir (Printf.sprintf "replica-%d.trace" i)
-              in
-              if Sys.file_exists path then Obs.Recorder.read_file path else [])
-            (List.init n Fun.id)
-        in
+        let events = read_traces trace_dir ~n in
         Format.printf "merged %d events from %s@." (List.length events)
           trace_dir;
         let windows =
@@ -1027,125 +1053,6 @@ let trace_cmd () =
       end
 
 (* ---- shards ---- *)
-
-(* [timebounds shards serve]: one replica process hosting [--shards]
-   independent Algorithm-1 instances multiplexed over the shared per-peer
-   TCP links (normally forked by [shards cluster]). *)
-let shards_serve argv =
-  let prog = "timebounds shards serve" in
-  let specs =
-    [
-      Cli.value "pid" "this replica's id, 0-based (required)";
-      Cli.value "peers"
-        "every replica's address as host:port,host:port,... (required; \
-         index = pid)";
-      Cli.value "shards" "number of shard instances to host (required)";
-      Cli.value "object"
-        (Printf.sprintf "wire object (%s; default kv)"
-           (String.concat "|" Net.Wire.names));
-    ]
-    @ timing_specs
-    @ [
-        Cli.value "offset" "this replica's clock offset, µs (default 0)";
-        Cli.value "epoch"
-          "shared clock epoch, µs on the wall clock (default: now)";
-        Cli.value "watch-parent" "exit when this OS pid disappears";
-        Cli.value "chaos"
-          "fault plan spec; scope a rule to one shard with %K, e.g. \
-           'drop(20)%3@0.2s-0.6s' (see `timebounds chaos --help`)";
-        Cli.value "chaos-seed" "seed for the fault plan (default 0)";
-        Cli.value "trace"
-          "write this replica's observability events to FILE";
-        Cli.value "durable"
-          "durable root directory; each shard persists under \
-           <root>/shard-<k>";
-        Cli.value "fsync"
-          "WAL fsync policy: always | interval[:N] | never (default \
-           interval)";
-        Cli.value "snapshot-every"
-          "checkpoint after this many WAL records (default 1024; 0 = never)";
-      ]
-    @ fallback_specs
-    @ [ Cli.flag "quiet" "suppress per-replica logging" ]
-  in
-  let c = Cli.parse ~prog ~specs argv in
-  let pid =
-    match Cli.int_opt c "pid" with
-    | Some p -> p
-    | None -> Cli.fail c "--pid is required"
-  in
-  let addrs =
-    match Cli.str_opt c "peers" with
-    | Some v -> Cli.peers c "peers" v
-    | None -> Cli.fail c "--peers is required"
-  in
-  let n = Array.length addrs in
-  if pid < 0 || pid >= n then
-    Cli.fail c (Printf.sprintf "--pid %d out of range for %d peers" pid n);
-  let shards =
-    match Cli.int_opt c "shards" with
-    | Some s when s >= 1 -> s
-    | Some _ -> Cli.fail c "--shards must be >= 1"
-    | None -> Cli.fail c "--shards is required"
-  in
-  let obj = Cli.str c "object" ~default:"kv" in
-  match Net.Wire.find obj with
-  | None ->
-      Format.eprintf "unknown wire object %s (have: %s)@." obj
-        (String.concat ", " Net.Wire.names);
-      exit 1
-  | Some (module W : Net.Wire.WIRED) ->
-      let d, u, eps, x, slack = timing_args c in
-      let eps =
-        match eps with Some e -> e | None -> Core.Params.optimal_eps ~n ~u
-      in
-      let params =
-        Core.Params.make ~n ~d:(d + slack) ~u:(u + slack) ~eps ~x ()
-      in
-      let offset = Cli.int c "offset" ~default:0 in
-      let start_us = Cli.int_opt c "epoch" in
-      let watch_parent = Cli.int_opt c "watch-parent" in
-      let log =
-        if Cli.given c "quiet" then fun _ -> ()
-        else fun s -> Printf.eprintf "[shards] %s\n%!" s
-      in
-      let chaos =
-        match Cli.str_opt c "chaos" with
-        | None -> None
-        | Some spec -> (
-            let cseed = Cli.int c "chaos-seed" ~default:0 in
-            match Fault.Fault_plan.compile ~seed:cseed ~spec with
-            | Error e -> Cli.fail c ("bad --chaos plan: " ^ e)
-            | Ok plan -> Some plan)
-      in
-      let trace = Cli.str_opt c "trace" in
-      let durable = Cli.str_opt c "durable" in
-      let fsync =
-        match
-          Durable.Wal.fsync_of_string (Cli.str c "fsync" ~default:"interval")
-        with
-        | Ok f -> f
-        | Error e -> Cli.fail c ("bad --fsync: " ^ e)
-      in
-      let snapshot_every = Cli.int c "snapshot-every" ~default:1024 in
-      let fallback = fallback_args c in
-      let module H = Shard.Host.Make (W) in
-      H.run_until_signalled ?watch_parent
-        {
-          Shard.Host.pid;
-          shards;
-          addrs;
-          params;
-          offset;
-          start_us;
-          trace;
-          durable;
-          fsync;
-          snapshot_every;
-          chaos;
-          fallback;
-          log;
-        }
 
 (* Per-shard bound attribution over a sharded cluster's merged trace: the
    load generator mints each trace id with the target shard in the origin
@@ -1291,14 +1198,7 @@ let shards_load ~drive_only argv =
       | None -> true
       | Some tdir ->
           let events =
-            List.concat_map
-              (fun i ->
-                let path =
-                  Filename.concat tdir (Printf.sprintf "replica-%d.trace" i)
-                in
-                if Sys.file_exists path then Obs.Recorder.read_file path
-                else [])
-              (List.init n Fun.id)
+            read_traces tdir ~n
             |> List.stable_sort (fun (a : Obs.Event.t) (b : Obs.Event.t) ->
                    compare a.Obs.Event.t_us b.Obs.Event.t_us)
           in
@@ -1349,7 +1249,8 @@ let shards_load ~drive_only argv =
 
 let shards_cmd () =
   match Array.to_list Sys.argv with
-  | _ :: _ :: "serve" :: rest -> shards_serve rest
+  | _ :: _ :: "serve" :: rest ->
+      serve ~sharded:true ~prog:"timebounds shards serve" rest
   | _ :: _ :: "cluster" :: rest -> shards_load ~drive_only:false rest
   | _ :: _ :: "loadgen" :: rest -> shards_load ~drive_only:true rest
   | _ :: _ :: mode :: _ when String.length mode > 0 && mode.[0] <> '-' ->

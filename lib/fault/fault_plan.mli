@@ -16,7 +16,7 @@
     name    := drop | dup | spike | jitter | partition | crash | restart
              | skew | flood
     link    := src '>' dst          src, dst := pid | '*'
-    shard   := shard id (sharded hosts only; see {!for_shard})
+    shard   := shard id, below the host's shard count (see {!for_shard})
     window  := time [ '-' time ]    time := number ['us'|'ms'|'s']
     v}
 
@@ -65,7 +65,8 @@ type rule = {
   link : link_filter;
   shard : int option;
       (** [%k] scope: the rule only applies to shard [k]'s transport on a
-          sharded host; [None] = every shard (and every unsharded run) *)
+          [Net.Serve] host, which refuses a plan scoping a rule to a shard
+          it does not run; [None] = every shard *)
   from_us : int;
   until_us : int;  (** [max_int] = open-ended *)
 }
@@ -89,10 +90,10 @@ val rule_label : rule -> string
     violation windows. *)
 
 val for_shard : t -> int -> t
-(** The plan as seen by shard [k] of a sharded host: unscoped rules plus
+(** The plan as seen by shard [k] of a [Net.Serve] host: unscoped rules plus
     those scoped [%k], with rule ids (the hash salt) preserved so the
     surviving rules flip the same per-message coins as in the full plan.
-    A sharded host wraps shard [k]'s transport with
+    The host wraps shard [k]'s transport with
     [Chaos_transport.create (for_shard plan k)] — and skips the wrapper
     entirely when the projection {!is_empty}. *)
 

@@ -19,7 +19,9 @@
     Failure handling: a monitor thread owns all [waitpid] reaping; an
     unexpected child exit (e.g. a replica killed mid-run) raises the abort
     flag, workers cut their rounds short, and the run reports a clean
-    failure instead of hanging. *)
+    failure instead of hanging.  The supervision half (argv, spawn,
+    monitor, teardown, paths) needs no object module and is shared with
+    the sharded driver, [Shard.Shard_cluster]. *)
 
 type child = {
   child_pid : int;  (** replica pid (0..n-1) *)
@@ -103,24 +105,42 @@ let pp_report fmt r =
   Format.fprintf fmt "post-hoc linearizability: %a@]"
     Runtime.Loadgen.pp_verdict r.verdict
 
-module Make (W : Wire.WIRED) = struct
-  module Cl = Client.Make (W)
-  module Gen = Runtime.Loadgen.Make (W.L)
-  module P = Persist.Make (W.C)
+(* ---- supervision shared by every cluster driver ---- *)
 
-  (* Argv contract with [timebounds serve] (bin/cli.ml parses both
-     [--flag v] and [-flag v]).  [chaos] forwards the fault plan so each
-     replica process wraps its own transport with the same seeded plan;
-     [trace] is the per-process trace file (appended across supervised
-     restarts, so one file covers a replica's whole life). *)
-  let serve_argv ~exe ~peers ~pid ~d ~u ~eps ~x ~slack ~offset ~epoch ~chaos
-      ~trace ~durable ~fsync ~snapshot_every ~fallback ~sync =
-    let base =
-      [
-        exe; "serve";
+let peers_of ~host ~ports =
+  String.concat ","
+    (Array.to_list (Array.map (fun p -> Printf.sprintf "%s:%d" host p) ports))
+
+(* Each replica writes trace_dir/replica-<i>.trace, appended across
+   supervised restarts, so one file covers a replica's whole life. *)
+let trace_path trace_dir i =
+  Option.map
+    (fun dir -> Filename.concat dir (Printf.sprintf "replica-%d.trace" i))
+    trace_dir
+
+(* Each replica owns durable_dir/replica-<i> (its shards persist under
+   replica-<i>/shard-<k>).  A supervised restart goes through the same
+   argv, so the respawned process is handed the same directory — that is
+   the recovery path; the store's META check makes a mixed-up handoff fail
+   loudly. *)
+let durable_path durable_dir i =
+  Option.map
+    (fun dir -> Filename.concat dir (Printf.sprintf "replica-%d" i))
+    durable_dir
+
+(* Argv contract with [timebounds serve] / [timebounds shards serve]
+   (bin/cli.ml parses both [--flag v] and [-flag v]); [cmd] is the
+   subcommand words plus any command-specific flags.  [chaos] forwards the
+   fault plan so each replica process wraps its own transport with the
+   same seeded plan; [trace] is the per-process trace file. *)
+let replica_argv ~cmd ~label ~exe ~peers ~pid ~d ~u ~eps ~x ~slack ~offset
+    ~epoch ~chaos ~trace ~durable ~fsync ~snapshot_every ~fallback ~sync =
+  let base =
+    (exe :: cmd)
+    @ [
         "--pid"; string_of_int pid;
         "--peers"; peers;
-        "--object"; W.L.label;
+        "--object"; label;
         "--d"; string_of_int d;
         "--u"; string_of_int u;
         "--eps"; string_of_int eps;
@@ -130,40 +150,203 @@ module Make (W : Wire.WIRED) = struct
         "--epoch"; string_of_int epoch;
         "--watch-parent"; string_of_int (Unix.getpid ());
       ]
-    in
-    let extra =
-      (match chaos with
+  in
+  let extra =
+    (match chaos with
+    | None -> []
+    | Some (spec, cseed) ->
+        [ "--chaos"; spec; "--chaos-seed"; string_of_int cseed ])
+    @ (match trace with None -> [] | Some path -> [ "--trace"; path ])
+    @ (match fallback with
       | None -> []
-      | Some (spec, cseed) ->
-          [ "--chaos"; spec; "--chaos-seed"; string_of_int cseed ])
-      @ (match trace with None -> [] | Some path -> [ "--trace"; path ])
-      @ (match fallback with
-        | None -> []
-        | Some (cfg : Quorum.Config.t) ->
-            [
-              "--fallback"; "quorum";
-              "--hb-us"; string_of_int cfg.Quorum.Config.hb_us;
-              "--suspect-after"; string_of_int cfg.Quorum.Config.suspect_after;
-            ])
-      @ (match sync with
-        | None -> []
-        | Some (cfg : Sync.Config.t) ->
-            [
-              "--sync"; "on";
-              "--sync-interval-us"; string_of_int cfg.Sync.Config.interval_us;
-              "--sync-u"; string_of_int cfg.Sync.Config.u;
-            ])
-      @
-      match durable with
-      | None -> []
-      | Some dir ->
+      | Some (cfg : Quorum.Config.t) ->
           [
-            "--durable"; dir;
-            "--fsync"; fsync;
-            "--snapshot-every"; string_of_int snapshot_every;
-          ]
-    in
-    Array.of_list (base @ extra)
+            "--fallback"; "quorum";
+            "--hb-us"; string_of_int cfg.Quorum.Config.hb_us;
+            "--suspect-after"; string_of_int cfg.Quorum.Config.suspect_after;
+          ])
+    @ (match sync with
+      | None -> []
+      | Some (cfg : Sync.Config.t) ->
+          [
+            "--sync"; "on";
+            "--sync-interval-us"; string_of_int cfg.Sync.Config.interval_us;
+            "--sync-u"; string_of_int cfg.Sync.Config.u;
+          ])
+    @
+    match durable with
+    | None -> []
+    | Some dir ->
+        [
+          "--durable"; dir;
+          "--fsync"; fsync;
+          "--snapshot-every"; string_of_int snapshot_every;
+        ]
+  in
+  Array.of_list (base @ extra)
+
+let spawn ~log ~port ~pid argv =
+  let os_pid =
+    Unix.create_process argv.(0) argv Unix.stdin Unix.stdout Unix.stderr
+  in
+  log
+    (Printf.sprintf "cluster: spawned replica %d (os pid %d, port %d)" pid
+       os_pid port);
+  { child_pid = pid; os_pid; port }
+
+(* The monitor thread is the sole reaper: everyone else consults the
+   table.  [expected] is flipped before teardown so deliberate
+   terminations don't raise the abort flag; individual planned kills (the
+   chaos crash schedule) are announced via [plan_kill] instead, and a
+   supervised respawn re-registers the new process with [adopt]. *)
+type monitor = {
+  mutable reaped : (int * Unix.process_status) list;
+  mutable left : int;  (** live (unreaped) children *)
+  mutable planned : int list;  (** os pids whose death is scheduled chaos *)
+  lock : Mutex.t;
+  expected : bool Atomic.t;
+  abort : bool Atomic.t;
+  mutable abort_why : string option;
+  mutable thread : Thread.t option;
+}
+
+let plan_kill mon os_pid =
+  Mutex.lock mon.lock;
+  mon.planned <- os_pid :: mon.planned;
+  Mutex.unlock mon.lock
+
+let adopt mon =
+  Mutex.lock mon.lock;
+  mon.left <- mon.left + 1;
+  Mutex.unlock mon.lock
+
+(* OCaml signal numbers are internal (Sys.sigkill = -7); name the usual
+   suspects rather than leak them. *)
+let signal_name s =
+  if s = Sys.sigkill then "SIGKILL"
+  else if s = Sys.sigterm then "SIGTERM"
+  else if s = Sys.sigint then "SIGINT"
+  else if s = Sys.sigsegv then "SIGSEGV"
+  else if s = Sys.sigabrt then "SIGABRT"
+  else Printf.sprintf "signal %d" s
+
+let status_string = function
+  | Unix.WEXITED c -> Printf.sprintf "exited %d" c
+  | Unix.WSIGNALED s -> Printf.sprintf "killed by %s" (signal_name s)
+  | Unix.WSTOPPED s -> Printf.sprintf "stopped by %s" (signal_name s)
+
+let start_monitor children ~abort ~log =
+  let mon =
+    {
+      reaped = [];
+      left = Array.length children;
+      planned = [];
+      lock = Mutex.create ();
+      expected = Atomic.make false;
+      abort;
+      abort_why = None;
+      thread = None;
+    }
+  in
+  let live () =
+    Mutex.lock mon.lock;
+    let l = mon.left in
+    Mutex.unlock mon.lock;
+    l
+  in
+  let thread =
+    Thread.create
+      (fun () ->
+        while live () > 0 do
+          match Unix.waitpid [] (-1) with
+          | os_pid, status ->
+              Mutex.lock mon.lock;
+              mon.left <- mon.left - 1;
+              mon.reaped <- (os_pid, status) :: mon.reaped;
+              let was_planned = List.mem os_pid mon.planned in
+              if was_planned then
+                mon.planned <- List.filter (fun p -> p <> os_pid) mon.planned;
+              Mutex.unlock mon.lock;
+              let who =
+                match Array.find_opt (fun c -> c.os_pid = os_pid) children with
+                | Some c -> Printf.sprintf "replica %d" c.child_pid
+                | None -> Printf.sprintf "child %d" os_pid
+              in
+              if was_planned then
+                log
+                  (Printf.sprintf "cluster: %s %s (scheduled chaos)" who
+                     (status_string status))
+              else if not (Atomic.get mon.expected) then begin
+                let why =
+                  Printf.sprintf "%s %s mid-run" who (status_string status)
+                in
+                log ("cluster: " ^ why);
+                if mon.abort_why = None then mon.abort_why <- Some why;
+                Atomic.set mon.abort true
+              end
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+          | exception Unix.Unix_error (Unix.ECHILD, _, _) ->
+              (* No children right now.  Mid-run that can only mean every
+                 replica is inside a crash window awaiting respawn, so keep
+                 watching; during teardown it means we are done. *)
+              if Atomic.get mon.expected then begin
+                Mutex.lock mon.lock;
+                mon.left <- 0;
+                Mutex.unlock mon.lock
+              end
+              else Prelude.Mclock.sleep_us 20_000
+        done)
+      ()
+  in
+  mon.thread <- Some thread;
+  mon
+
+let reaped mon os_pid =
+  Mutex.lock mon.lock;
+  let r = List.mem_assoc os_pid mon.reaped in
+  Mutex.unlock mon.lock;
+  r
+
+let teardown mon children ~log =
+  Atomic.set mon.expected true;
+  Array.iter
+    (fun c ->
+      if not (reaped mon c.os_pid) then
+        try Unix.kill c.os_pid Sys.sigterm with Unix.Unix_error _ -> ())
+    children;
+  (* Give children 5 s to exit cleanly, then SIGKILL stragglers. *)
+  let deadline = Prelude.Mclock.now_us () + 5_000_000 in
+  let all_reaped () = Array.for_all (fun c -> reaped mon c.os_pid) children in
+  while (not (all_reaped ())) && Prelude.Mclock.now_us () < deadline do
+    Prelude.Mclock.sleep_us 20_000
+  done;
+  Array.iter
+    (fun c ->
+      if not (reaped mon c.os_pid) then begin
+        log
+          (Printf.sprintf "cluster: replica %d unresponsive, SIGKILL"
+             c.child_pid);
+        try Unix.kill c.os_pid Sys.sigkill with Unix.Unix_error _ -> ()
+      end)
+    children;
+  match mon.thread with Some t -> Thread.join t | None -> ()
+
+(* Why a run was cut short: a replica's unexpected death wins over the
+   first client error, which wins over a bare abort flag. *)
+let abort_reason mon ~first_error =
+  match (mon.abort_why, first_error) with
+  | Some why, _ -> Some why
+  | None, Some e when Atomic.get mon.abort -> Some e
+  | None, _ -> if Atomic.get mon.abort then Some "aborted" else None
+
+module Make (W : Wire.WIRED) = struct
+  module Cl = Client.Make (W)
+  module Gen = Runtime.Loadgen.Make (W.L)
+  module P = Persist.Make (W.C)
+
+  let serve_argv = replica_argv ~cmd:[ "serve" ] ~label:W.L.label
+
+  let peers_of = peers_of
 
   let draw rng (m, a, _o) total =
     let toss = Prelude.Rng.int rng total in
@@ -344,189 +527,73 @@ module Make (W : Wire.WIRED) = struct
           w_error = !error;
         }
 
-  let peers_of ~host ~ports =
-    String.concat ","
-      (Array.to_list (Array.map (fun p -> Printf.sprintf "%s:%d" host p) ports))
-
   (* Also the supervised-restart path: a respawned replica reuses its pid,
      port, offset and the cluster epoch, so it rejoins with the same clock
      the algorithm assumed before the crash (SO_REUSEADDR lets it rebind
      immediately). *)
-  let trace_path trace_dir i =
-    Option.map (fun dir -> Filename.concat dir (Printf.sprintf "replica-%d.trace" i))
-      trace_dir
-
-  (* Each replica owns durable_dir/replica-<i>.  A supervised restart goes
-     through the same argv, so the respawned process is handed the same
-     directory — that is the recovery path; the store's META check makes a
-     mixed-up handoff fail loudly. *)
-  let durable_path durable_dir i =
-    Option.map (fun dir -> Filename.concat dir (Printf.sprintf "replica-%d" i))
-      durable_dir
-
   let spawn_one ~exe ~host ~ports ~d ~u ~eps ~x ~slack ~offsets ~epoch ~chaos
       ~trace_dir ~durable_dir ~fsync ~snapshot_every ~fallback ~sync ~log i =
-    let argv =
-      serve_argv ~exe ~peers:(peers_of ~host ~ports) ~pid:i ~d ~u ~eps ~x
-        ~slack ~offset:offsets.(i) ~epoch ~chaos ~trace:(trace_path trace_dir i)
-        ~durable:(durable_path durable_dir i) ~fsync ~snapshot_every ~fallback
-        ~sync
-    in
-    let os_pid =
-      Unix.create_process argv.(0) argv Unix.stdin Unix.stdout Unix.stderr
-    in
-    log
-      (Printf.sprintf "cluster: spawned replica %d (os pid %d, port %d)" i
-         os_pid ports.(i));
-    { child_pid = i; os_pid; port = ports.(i) }
+    spawn ~log ~port:ports.(i) ~pid:i
+      (serve_argv ~exe ~peers:(peers_of ~host ~ports) ~pid:i ~d ~u ~eps ~x
+         ~slack ~offset:offsets.(i) ~epoch ~chaos
+         ~trace:(trace_path trace_dir i)
+         ~durable:(durable_path durable_dir i) ~fsync ~snapshot_every
+         ~fallback ~sync)
 
-  let spawn_children ~exe ~host ~ports ~d ~u ~eps ~x ~slack ~offsets ~epoch
-      ~chaos ~trace_dir ~durable_dir ~fsync ~snapshot_every ~fallback ~sync
-      ~log =
-    Array.init (Array.length ports)
-      (spawn_one ~exe ~host ~ports ~d ~u ~eps ~x ~slack ~offsets ~epoch ~chaos
-         ~trace_dir ~durable_dir ~fsync ~snapshot_every ~fallback ~sync ~log)
-
-  (* The monitor thread is the sole reaper: everyone else consults the
-     table.  [expected] is flipped before teardown so deliberate
-     terminations don't raise the abort flag; individual planned kills (the
-     chaos crash schedule) are announced via [plan_kill] instead, and a
-     supervised respawn re-registers the new process with [adopt]. *)
-  type monitor = {
-    mutable reaped : (int * Unix.process_status) list;
-    mutable left : int;  (** live (unreaped) children *)
-    mutable planned : int list;  (** os pids whose death is scheduled chaos *)
-    lock : Mutex.t;
-    expected : bool Atomic.t;
-    abort : bool Atomic.t;
-    mutable abort_why : string option;
-    mutable thread : Thread.t option;
-  }
-
-  let plan_kill mon os_pid =
-    Mutex.lock mon.lock;
-    mon.planned <- os_pid :: mon.planned;
-    Mutex.unlock mon.lock
-
-  let adopt mon =
-    Mutex.lock mon.lock;
-    mon.left <- mon.left + 1;
-    Mutex.unlock mon.lock
-
-  (* OCaml signal numbers are internal (Sys.sigkill = -7); name the usual
-     suspects rather than leak them. *)
-  let signal_name s =
-    if s = Sys.sigkill then "SIGKILL"
-    else if s = Sys.sigterm then "SIGTERM"
-    else if s = Sys.sigint then "SIGINT"
-    else if s = Sys.sigsegv then "SIGSEGV"
-    else if s = Sys.sigabrt then "SIGABRT"
-    else Printf.sprintf "signal %d" s
-
-  let status_string = function
-    | Unix.WEXITED c -> Printf.sprintf "exited %d" c
-    | Unix.WSIGNALED s -> Printf.sprintf "killed by %s" (signal_name s)
-    | Unix.WSTOPPED s -> Printf.sprintf "stopped by %s" (signal_name s)
-
-  let start_monitor children ~abort ~log =
-    let mon =
-      {
-        reaped = [];
-        left = Array.length children;
-        planned = [];
-        lock = Mutex.create ();
-        expected = Atomic.make false;
-        abort;
-        abort_why = None;
-        thread = None;
-      }
-    in
-    let live () =
-      Mutex.lock mon.lock;
-      let l = mon.left in
-      Mutex.unlock mon.lock;
-      l
-    in
-    let thread =
-      Thread.create
-        (fun () ->
-          while live () > 0 do
-            match Unix.waitpid [] (-1) with
-            | os_pid, status ->
-                Mutex.lock mon.lock;
-                mon.left <- mon.left - 1;
-                mon.reaped <- (os_pid, status) :: mon.reaped;
-                let was_planned = List.mem os_pid mon.planned in
-                if was_planned then
-                  mon.planned <- List.filter (fun p -> p <> os_pid) mon.planned;
-                Mutex.unlock mon.lock;
-                let who =
-                  match
-                    Array.find_opt (fun c -> c.os_pid = os_pid) children
-                  with
-                  | Some c -> Printf.sprintf "replica %d" c.child_pid
-                  | None -> Printf.sprintf "child %d" os_pid
-                in
-                if was_planned then
-                  log
-                    (Printf.sprintf "cluster: %s %s (scheduled chaos)" who
-                       (status_string status))
-                else if not (Atomic.get mon.expected) then begin
-                  let why =
-                    Printf.sprintf "%s %s mid-run" who (status_string status)
-                  in
-                  log ("cluster: " ^ why);
-                  if mon.abort_why = None then mon.abort_why <- Some why;
-                  Atomic.set mon.abort true
-                end
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-            | exception Unix.Unix_error (Unix.ECHILD, _, _) ->
-                (* No children right now.  Mid-run that can only mean every
-                   replica is inside a crash window awaiting respawn, so
-                   keep watching; during teardown it means we are done. *)
-                if Atomic.get mon.expected then begin
-                  Mutex.lock mon.lock;
-                  mon.left <- 0;
-                  Mutex.unlock mon.lock
-                end
-                else Prelude.Mclock.sleep_us 20_000
-          done)
-        ()
-    in
-    mon.thread <- Some thread;
-    mon
-
-  let reaped mon os_pid =
-    Mutex.lock mon.lock;
-    let r = List.mem_assoc os_pid mon.reaped in
-    Mutex.unlock mon.lock;
-    r
-
-  let teardown mon children ~log =
-    Atomic.set mon.expected true;
-    Array.iter
-      (fun c ->
-        if not (reaped mon c.os_pid) then
-          try Unix.kill c.os_pid Sys.sigterm with Unix.Unix_error _ -> ())
-      children;
-    (* Give children 5 s to exit cleanly, then SIGKILL stragglers. *)
-    let deadline = Prelude.Mclock.now_us () + 5_000_000 in
-    let all_reaped () =
-      Array.for_all (fun c -> reaped mon c.os_pid) children
-    in
-    while (not (all_reaped ())) && Prelude.Mclock.now_us () < deadline do
-      Prelude.Mclock.sleep_us 20_000
+  (* A restart over existing durable directories serves the *persisted*
+     history: the first [get] of the run may legitimately return a value
+     written by the previous run.  The post-hoc checker must therefore
+     start Wing–Gong from shard [shard]'s recovered object, not the fresh
+     one.  The replicas' applied lists are merged by ⟨time, pid⟩ stamp
+     (every replica applies in stamp order, so the union replayed in stamp
+     order is the cluster state) — read before the children reopen the
+     stores. *)
+  let recovered_initial durable_dir ~n ~shard =
+    let tbl = Hashtbl.create 1024 in
+    for i = 0 to n - 1 do
+      match durable_path durable_dir i with
+      | None -> ()
+      | Some dir -> (
+          match Durable.Store.inspect ~dir:(Serve.shard_dir dir shard) with
+          | Error _ -> ()
+          | Ok (_meta, view) ->
+              List.iter
+                (fun (a : P.applied) ->
+                  Hashtbl.replace tbl (a.P.time, a.P.pid) a.P.op)
+                (P.recovered_of view).P.s_applied)
     done;
-    Array.iter
+    if Hashtbl.length tbl = 0 then None
+    else
+      Hashtbl.fold (fun k op acc -> (k, op) :: acc) tbl []
+      |> List.sort compare
+      |> List.fold_left
+           (fun st (_, op) -> fst (W.L.D.apply st op))
+           W.L.D.initial
+      |> Option.some
+
+  (* Readiness: one admin connection per replica, retried while the
+     children bind their ports; kept open for the final Stats_req. *)
+  let connect_admin ~host ~abort ~log children =
+    Array.map
       (fun c ->
-        if not (reaped mon c.os_pid) then begin
-          log
-            (Printf.sprintf "cluster: replica %d unresponsive, SIGKILL"
-               c.child_pid);
-          try Unix.kill c.os_pid Sys.sigkill with Unix.Unix_error _ -> ()
-        end)
-      children;
-    match mon.thread with Some t -> Thread.join t | None -> ()
+        match Cl.connect ~host ~port:c.port ~attempts:100 () with
+        | Ok conn -> Some conn
+        | Error e ->
+            log
+              (Printf.sprintf "cluster: replica %d not reachable: %s"
+                 c.child_pid e);
+            Atomic.set abort true;
+            None)
+      children
+
+  let collect_stats admin =
+    Array.to_list admin
+    |> List.mapi (fun i conn ->
+           Option.bind conn (fun conn ->
+               let s = Cl.stats conn in
+               Cl.close conn;
+               Result.to_option (Result.map (fun s -> (i, s)) s)))
+    |> List.filter_map Fun.id
 
   (* Default round of 24 (not the in-process generator's 48): shorter
      segments cut concurrent-mutator ambiguity windows sooner, which keeps
@@ -635,44 +702,12 @@ module Make (W : Wire.WIRED) = struct
     let deadline_budget_us =
       if idempotent then (2 * (d + slack + eps)) + 4_000_000 else 0
     in
-    (* A restart over existing durable directories serves the *persisted*
-       history: the first [get] of the run may legitimately return a value
-       written by the previous run.  The post-hoc checker must therefore
-       start Wing–Gong from the recovered object, not the fresh one.  The
-       replicas' applied lists are merged by ⟨time, pid⟩ stamp (every
-       replica applies in stamp order, so the union replayed in stamp
-       order is the cluster state) — read before the children reopen the
-       stores. *)
-    let durable_initial =
-      match durable_dir with
-      | None -> None
-      | Some _ ->
-          let tbl = Hashtbl.create 1024 in
-          for i = 0 to n - 1 do
-            match durable_path durable_dir i with
-            | None -> ()
-            | Some dir -> (
-                match Durable.Store.inspect ~dir with
-                | Error _ -> ()
-                | Ok (_meta, view) ->
-                    List.iter
-                      (fun (a : P.applied) ->
-                        Hashtbl.replace tbl (a.P.time, a.P.pid) a.P.op)
-                      (P.recovered_of view).P.s_applied)
-          done;
-          if Hashtbl.length tbl = 0 then None
-          else
-            Hashtbl.fold (fun k op acc -> (k, op) :: acc) tbl []
-            |> List.sort compare
-            |> List.fold_left
-                 (fun st (_, op) -> fst (W.L.D.apply st op))
-                 W.L.D.initial
-            |> Option.some
-    in
+    let durable_initial = recovered_initial durable_dir ~n ~shard:0 in
     let children =
-      spawn_children ~exe ~host ~ports ~d ~u ~eps ~x ~slack ~offsets ~epoch
-        ~chaos ~trace_dir ~durable_dir ~fsync ~snapshot_every ~fallback ~sync
-        ~log
+      Array.init n
+        (spawn_one ~exe ~host ~ports ~d ~u ~eps ~x ~slack ~offsets ~epoch
+           ~chaos ~trace_dir ~durable_dir ~fsync ~snapshot_every ~fallback
+           ~sync ~log)
     in
     let mon = start_monitor children ~abort ~log in
     (* The crash scheduler: one supervisor thread per crash rule.  It
@@ -754,21 +789,7 @@ module Make (W : Wire.WIRED) = struct
                      end)
                    ())
     in
-    (* Readiness: one admin connection per replica, retried while the
-       children bind their ports; kept open for the final Stats_req. *)
-    let admin =
-      Array.map
-        (fun c ->
-          match Cl.connect ~host ~port:c.port ~attempts:100 () with
-          | Ok conn -> Some conn
-          | Error e ->
-              log
-                (Printf.sprintf "cluster: replica %d not reachable: %s"
-                   c.child_pid e);
-              Atomic.set abort true;
-              None)
-        children
-    in
+    let admin = connect_admin ~host ~abort ~log children in
     let start_us = Prelude.Mclock.now_us () in
     let merged = Array.init 6 (fun _ -> Runtime.Histogram.create ()) in
     let entries = ref [] in
@@ -812,29 +833,10 @@ module Make (W : Wire.WIRED) = struct
     let wall_us = Prelude.Mclock.now_us () - start_us in
     Atomic.set finished true;
     List.iter Thread.join supervisors;
-    let replica_stats =
-      Array.to_list admin
-      |> List.mapi (fun i conn ->
-             match conn with
-             | None -> None
-             | Some conn -> (
-                 match Cl.stats conn with
-                 | Ok s ->
-                     Cl.close conn;
-                     Some (i, s)
-                 | Error _ ->
-                     Cl.close conn;
-                     None))
-      |> List.filter_map Fun.id
-    in
+    let replica_stats = collect_stats admin in
     teardown mon children ~log;
     let completed = List.length !entries in
-    let aborted =
-      match (mon.abort_why, !first_error) with
-      | Some why, _ -> Some why
-      | None, Some e when Atomic.get abort -> Some e
-      | None, _ -> if Atomic.get abort then Some "aborted" else None
-    in
+    let aborted = abort_reason mon ~first_error:!first_error in
     let verdict =
       if !failed > 0 then
         Runtime.Loadgen.Unchecked

@@ -116,7 +116,7 @@ type hello = {
   eps : int;
   x : int;
   obj_tag : int;
-  shards : int;  (** shard count of the sender's namespace; 0 = unsharded *)
+  shards : int;  (** shard count of the sender's host (≥ 1) *)
 }
 (** The connect handshake: the sender's identity plus the parameters it
     runs Algorithm 1 with.  Receivers reject mismatches — a cluster whose

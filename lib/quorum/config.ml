@@ -1,5 +1,5 @@
 (** Tuning knobs for the quorum fallback, shared by every layer that arms
-    it (in-process clusters, [Net.Serve] processes, shard hosts).
+    it (in-process clusters, and every shard of a [Net.Serve] process).
 
     The defaults aim CI-sized clusters: heartbeats every 2.5 ms and
     suspicion after 40 consecutive missed intervals put the failure

@@ -11,9 +11,10 @@
     handles events in the order the model prescribes.
 
     The building block is a {e node} — one replica on one domain over an
-    arbitrary transport.  [Net.Serve] runs a single node per OS process
-    over TCP; {!start} below assembles the PR 1 in-process cluster by
-    pointing [n] nodes at one shared bus transport.
+    arbitrary transport.  [Net.Serve] runs one node per shard in each OS
+    process, every node behind its shard's view of the shared TCP links;
+    {!start} below assembles the PR 1 in-process cluster by pointing [n]
+    nodes at one shared bus transport.
 
     Clocks: replica [i] reads [Mclock.now_us () − start + offset] — real
     time plus a fixed per-replica offset, exactly the thesis' clock model
@@ -235,9 +236,9 @@ module Make (D : Spec.Data_type.S) : sig
       passes one shared origin so all records are comparable.  [threaded]
       (default false) runs the event loop on a systhread instead of its
       own domain: the loop blocks in [Mailbox.take] (releasing the runtime
-      lock) whenever idle, so a sharded host can run hundreds of replicas
-      in one process — far past the OCaml domain ceiling — at the cost of
-      serialising their CPU bursts.  [recovery] enables the durability
+      lock) whenever idle, so a [Net.Serve] host of many shards can run
+      hundreds of replicas in one process — far past the OCaml domain
+      ceiling — at the cost of serialising their CPU bursts.  [recovery] enables the durability
       machinery (see the module docs); pass {!post_recover} after the
       transport is connected to trigger peer catch-up.  [fallback] arms
       the adaptive quorum fallback (heartbeats, failure detection, the

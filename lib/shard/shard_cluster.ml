@@ -21,11 +21,9 @@
 
 module T = Runtime.Transport_intf
 module W = Net.Wire.Kv_wired
-module Cl = Net.Client.Make (W)
-module Gen = Runtime.Loadgen.Make (W.L)
-module P = Net.Persist.Make (W.C)
-
-type child = { child_pid : int; os_pid : int; port : int }
+module NC = Net.Cluster.Make (W)
+module Cl = NC.Cl
+module Gen = NC.Gen
 
 type report = {
   params : Core.Params.t;  (** effective (slack included in [d], [u]) *)
@@ -419,197 +417,10 @@ let verdict_and_shards ~shards ~initials ~params ~windowed ~matrix ~cuts
 (* The children never see the ring: key→shard→replica resolution is the
    {e clients'} pure computation, so a host only needs to know how many
    shard instances to run. *)
-let serve_argv ~exe ~peers ~pid ~shards ~d ~u ~eps ~x ~slack ~offset ~epoch
-    ~chaos ~trace ~durable ~fsync ~snapshot_every =
-  let base =
-    [
-      exe; "shards"; "serve";
-      "--pid"; string_of_int pid;
-      "--peers"; peers;
-      "--shards"; string_of_int shards;
-      "--object"; W.L.label;
-      "--d"; string_of_int d;
-      "--u"; string_of_int u;
-      "--eps"; string_of_int eps;
-      "--x"; string_of_int x;
-      "--slack"; string_of_int slack;
-      "--offset"; string_of_int offset;
-      "--epoch"; string_of_int epoch;
-      "--watch-parent"; string_of_int (Unix.getpid ());
-    ]
-  in
-  let extra =
-    (match chaos with
-    | None -> []
-    | Some (spec, cseed) ->
-        [ "--chaos"; spec; "--chaos-seed"; string_of_int cseed ])
-    @ (match trace with None -> [] | Some path -> [ "--trace"; path ])
-    @
-    match durable with
-    | None -> []
-    | Some dir ->
-        [
-          "--durable"; dir;
-          "--fsync"; fsync;
-          "--snapshot-every"; string_of_int snapshot_every;
-        ]
-  in
-  Array.of_list (base @ extra)
-
-let peers_of ~host ~ports =
-  String.concat ","
-    (Array.to_list (Array.map (fun p -> Printf.sprintf "%s:%d" host p) ports))
-
-let trace_path trace_dir i =
-  Option.map
-    (fun dir -> Filename.concat dir (Printf.sprintf "replica-%d.trace" i))
-    trace_dir
-
-let durable_path durable_dir i =
-  Option.map
-    (fun dir -> Filename.concat dir (Printf.sprintf "replica-%d" i))
-    durable_dir
-
-let shard_store_dir replica_dir k =
-  Filename.concat replica_dir (Printf.sprintf "shard-%d" k)
-
-let status_string = function
-  | Unix.WEXITED c -> Printf.sprintf "exited %d" c
-  | Unix.WSIGNALED s -> Printf.sprintf "killed by signal %d" s
-  | Unix.WSTOPPED s -> Printf.sprintf "stopped by signal %d" s
-
-(* Minimal monitor (no supervised restarts here — chaos crash rules are
-   realised {e inside} the hosts as per-shard transport isolation): reap
-   children, raise the abort flag on an unexpected mid-run death. *)
-type monitor = {
-  mutable reaped : (int * Unix.process_status) list;
-  mutable left : int;
-  lock : Mutex.t;
-  expected : bool Atomic.t;
-  mutable abort_why : string option;
-  mutable thread : Thread.t option;
-}
-
-let start_monitor children ~abort ~log =
-  let mon =
-    {
-      reaped = [];
-      left = Array.length children;
-      lock = Mutex.create ();
-      expected = Atomic.make false;
-      abort_why = None;
-      thread = None;
-    }
-  in
-  let live () =
-    Mutex.lock mon.lock;
-    let l = mon.left in
-    Mutex.unlock mon.lock;
-    l
-  in
-  let thread =
-    Thread.create
-      (fun () ->
-        while live () > 0 do
-          match Unix.waitpid [] (-1) with
-          | os_pid, status ->
-              Mutex.lock mon.lock;
-              mon.left <- mon.left - 1;
-              mon.reaped <- (os_pid, status) :: mon.reaped;
-              Mutex.unlock mon.lock;
-              let who =
-                match
-                  Array.find_opt (fun c -> c.os_pid = os_pid) children
-                with
-                | Some c -> Printf.sprintf "replica %d" c.child_pid
-                | None -> Printf.sprintf "child %d" os_pid
-              in
-              if not (Atomic.get mon.expected) then begin
-                let why =
-                  Printf.sprintf "%s %s mid-run" who (status_string status)
-                in
-                log ("shards: " ^ why);
-                if mon.abort_why = None then mon.abort_why <- Some why;
-                Atomic.set abort true
-              end
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-          | exception Unix.Unix_error (Unix.ECHILD, _, _) ->
-              if Atomic.get mon.expected then begin
-                Mutex.lock mon.lock;
-                mon.left <- 0;
-                Mutex.unlock mon.lock
-              end
-              else Prelude.Mclock.sleep_us 20_000
-        done)
-      ()
-  in
-  mon.thread <- Some thread;
-  mon
-
-let reaped mon os_pid =
-  Mutex.lock mon.lock;
-  let r = List.mem_assoc os_pid mon.reaped in
-  Mutex.unlock mon.lock;
-  r
-
-let teardown mon children ~log =
-  Atomic.set mon.expected true;
-  Array.iter
-    (fun c ->
-      if not (reaped mon c.os_pid) then
-        try Unix.kill c.os_pid Sys.sigterm with Unix.Unix_error _ -> ())
-    children;
-  let deadline = Prelude.Mclock.now_us () + 5_000_000 in
-  let all_reaped () = Array.for_all (fun c -> reaped mon c.os_pid) children in
-  while (not (all_reaped ())) && Prelude.Mclock.now_us () < deadline do
-    Prelude.Mclock.sleep_us 20_000
-  done;
-  Array.iter
-    (fun c ->
-      if not (reaped mon c.os_pid) then begin
-        log
-          (Printf.sprintf "shards: replica %d unresponsive, SIGKILL"
-             c.child_pid);
-        try Unix.kill c.os_pid Sys.sigkill with Unix.Unix_error _ -> ()
-      end)
-    children;
-  match mon.thread with Some t -> Thread.join t | None -> ()
-
-(* A restart over existing durable roots serves each shard's persisted
-   history, so shard k's checker starts from shard k's recovered state:
-   the replicas' applied lists for that shard, merged by ⟨time, pid⟩
-   stamp.  Read before the children reopen the stores. *)
-let durable_initials durable_dir ~n ~shards =
-  let initials = Array.make shards None in
-  (match durable_dir with
-  | None -> ()
-  | Some _ ->
-      for k = 0 to shards - 1 do
-        let tbl = Hashtbl.create 64 in
-        for i = 0 to n - 1 do
-          match durable_path durable_dir i with
-          | None -> ()
-          | Some replica_dir -> (
-              match
-                Durable.Store.inspect ~dir:(shard_store_dir replica_dir k)
-              with
-              | Error _ -> ()
-              | Ok (_meta, view) ->
-                  List.iter
-                    (fun (a : P.applied) ->
-                      Hashtbl.replace tbl (a.P.time, a.P.pid) a.P.op)
-                    (P.recovered_of view).P.s_applied)
-        done;
-        if Hashtbl.length tbl > 0 then
-          initials.(k) <-
-            Some
-              (Hashtbl.fold (fun key op acc -> (key, op) :: acc) tbl []
-              |> List.sort compare
-              |> List.fold_left
-                   (fun st (_, op) -> fst (W.L.D.apply st op))
-                   W.L.D.initial)
-      done);
-  initials
+let serve_argv ~exe ~peers ~pid ~shards =
+  Net.Cluster.replica_argv
+    ~cmd:[ "shards"; "serve"; "--shards"; string_of_int shards ]
+    ~label:W.L.label ~exe ~peers ~pid ~fallback:None ~sync:None
 
 (* ---- loadgen mode: drive an already-running sharded cluster ---- *)
 
@@ -756,65 +567,29 @@ let run ~n ~shards ~keys ~theta ~vnodes ~ring_seed ~d ~u ?eps ?(x = 0)
   let deadline_budget_us =
     if idempotent then (2 * (d + slack + eps)) + 4_000_000 else 0
   in
-  let initials = durable_initials durable_dir ~n ~shards in
+  (* Shard k's checker starts from shard k's recovered state. *)
+  let initials =
+    Array.init shards (fun shard -> NC.recovered_initial durable_dir ~n ~shard)
+  in
   let children =
     Array.init n (fun i ->
-        let argv =
-          serve_argv ~exe ~peers:(peers_of ~host ~ports) ~pid:i ~shards ~d ~u
-            ~eps ~x ~slack ~offset:offsets.(i) ~epoch ~chaos
-            ~trace:(trace_path trace_dir i)
-            ~durable:(durable_path durable_dir i) ~fsync ~snapshot_every
-        in
-        let os_pid =
-          Unix.create_process argv.(0) argv Unix.stdin Unix.stdout Unix.stderr
-        in
-        log
-          (Printf.sprintf "shards: spawned replica %d (os pid %d, port %d)" i
-             os_pid ports.(i));
-        { child_pid = i; os_pid; port = ports.(i) })
+        Net.Cluster.spawn ~log ~port:ports.(i) ~pid:i
+          (serve_argv ~exe ~peers:(NC.peers_of ~host ~ports) ~pid:i ~shards ~d
+             ~u ~eps ~x ~slack ~offset:offsets.(i) ~epoch ~chaos
+             ~trace:(Net.Cluster.trace_path trace_dir i)
+             ~durable:(Net.Cluster.durable_path durable_dir i)
+             ~fsync ~snapshot_every))
   in
-  let mon = start_monitor children ~abort ~log in
-  (* Readiness + final stats: one admin connection per replica. *)
-  let admin =
-    Array.map
-      (fun c ->
-        match Cl.connect ~host ~port:c.port ~attempts:100 () with
-        | Ok conn -> Some conn
-        | Error e ->
-            log
-              (Printf.sprintf "shards: replica %d not reachable: %s"
-                 c.child_pid e);
-            Atomic.set abort true;
-            None)
-      children
-  in
+  let mon = Net.Cluster.start_monitor children ~abort ~log in
+  let admin = NC.connect_admin ~host ~abort ~log children in
   let out =
     drive_rounds ~host ~ports ~dir ~zipf ~epoch ~abort ~resilient ~traced
       ~windows:fault_windows ~mint ~timeout_us ~deadline_budget_us ~workers
       ~round ~mix ~total ~ops rng_workers
   in
-  let replica_stats =
-    Array.to_list admin
-    |> List.mapi (fun i conn ->
-           match conn with
-           | None -> None
-           | Some conn -> (
-               match Cl.stats conn with
-               | Ok s ->
-                   Cl.close conn;
-                   Some (i, s)
-               | Error _ ->
-                   Cl.close conn;
-                   None))
-    |> List.filter_map Fun.id
-  in
-  teardown mon children ~log;
-  let aborted =
-    match (mon.abort_why, out.d_first_error) with
-    | Some why, _ -> Some why
-    | None, Some e when Atomic.get abort -> Some e
-    | None, _ -> if Atomic.get abort then Some "aborted" else None
-  in
+  let replica_stats = NC.collect_stats admin in
+  Net.Cluster.teardown mon children ~log;
+  let aborted = Net.Cluster.abort_reason mon ~first_error:out.d_first_error in
   let verdict, per_shard, classes =
     verdict_and_shards ~shards ~initials ~params
       ~windowed:(fault_windows <> []) ~matrix:out.d_matrix ~cuts:out.d_cuts

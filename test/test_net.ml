@@ -399,6 +399,95 @@ let test_tcp_cluster_in_process () =
       Alcotest.(check bool) "replica recorded ops" true (records <> []))
     handles
 
+(* A one-shard stack refuses an invocation tagged for any other shard: a
+   client routed with another topology must get an error, not answers
+   from the wrong object. *)
+let test_serve_refuses_foreign_shard () =
+  let module S = Net.Serve.Make (Net.Wire.Kv_wired) in
+  let module Cl = Net.Client.Make (Net.Wire.Kv_wired) in
+  let listener = Net.Tcp_transport.listen ~host:"127.0.0.1" ~port:0 in
+  let port = listener.Net.Tcp_transport.port in
+  let handle =
+    S.start ~listener
+      {
+        Net.Serve.pid = 0;
+        addrs = [| ("127.0.0.1", port) |];
+        params = Core.Params.make ~n:1 ~d:7000 ~u:5500 ~eps:0 ~x:0 ();
+        offset = 0;
+        start_us = None;
+        trace = None;
+        durable = None;
+        fsync = Durable.Wal.Never;
+        snapshot_every = 0;
+        fallback = None;
+        sync = None;
+        log = (fun _ -> ());
+      }
+  in
+  (match Cl.connect ~host:"127.0.0.1" ~port () with
+  | Error e -> Alcotest.failf "connect: %s" e
+  | Ok conn ->
+      (match Cl.invoke ~shard:1 conn (Spec.Kv_map.Put (1, 2)) with
+      | Ok _ -> Alcotest.fail "invoke tagged for shard 1 must fail"
+      | Error _ -> ());
+      (match Cl.invoke conn (Spec.Kv_map.Get 1) with
+      | Ok r ->
+          Alcotest.(check bool) "refused put was not applied" true
+            (r = Spec.Kv_map.Absent)
+      | Error e -> Alcotest.failf "shard-0 get after refusal: %s" e);
+      Cl.close conn);
+  ignore (S.stop handle)
+
+(* A chaos rule scoped to a shard the host does not run would never fire:
+   [start] refuses the plan, naming the rule. *)
+let test_serve_refuses_foreign_chaos_scope () =
+  let module S = Net.Serve.Make (Net.Wire.Kv_wired) in
+  let plan spec =
+    match Fault.Fault_plan.compile ~seed:0 ~spec with
+    | Ok p -> p
+    | Error e -> Alcotest.failf "compile %s: %s" spec e
+  in
+  let has_sub s sub =
+    let ls = String.length sub and le = String.length s in
+    let rec go i = i + ls <= le && (String.sub s i ls = sub || go (i + 1)) in
+    go 0
+  in
+  (match Net.Serve.check_chaos ~shards:8 (plan "spike(1ms);drop(20)%9") with
+  | Ok () -> Alcotest.fail "%9 on an 8-shard host must be refused"
+  | Error e ->
+      Alcotest.(check bool) ("message names the rule: " ^ e) true
+        (has_sub e "drop(20%)#1"));
+  Alcotest.(check bool) "%7 on an 8-shard host is fine" true
+    (Net.Serve.check_chaos ~shards:8 (plan "drop(20)%7") = Ok ());
+  let cfg =
+    {
+      Net.Serve.pid = 0;
+      addrs = [| ("127.0.0.1", 0) |];
+      params = Core.Params.make ~n:1 ~d:7000 ~u:5500 ~eps:0 ~x:0 ();
+      offset = 0;
+      start_us = None;
+      trace = None;
+      durable = None;
+      fsync = Durable.Wal.Never;
+      snapshot_every = 0;
+      fallback = None;
+      sync = None;
+      log = (fun _ -> ());
+    }
+  in
+  match S.start ~chaos:(plan "drop(20)%3") cfg with
+  | h ->
+      ignore (S.stop h);
+      Alcotest.fail "start must refuse a %3 rule on a one-shard stack"
+  | exception Invalid_argument e ->
+      Alcotest.(check bool) ("start names the rule: " ^ e) true
+        (has_sub e "drop(20%)#0")
+
+(* Child exits render with signal names, not OCaml's internal numbers. *)
+let test_status_string_names_signals () =
+  Alcotest.(check string) "SIGKILL by name" "killed by SIGKILL"
+    (Net.Cluster.status_string (Unix.WSIGNALED Sys.sigkill))
+
 let test_tcp_reconnect_backoff () =
   let module C = Net.Codec.Make (Net.Wire.Register_codec) in
   let hello pid =
@@ -477,14 +566,16 @@ let test_tcp_durable_restart_recovers () =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "tb-net-durable-%d" (Unix.getpid ()))
   in
-  let cleanup () =
-    if Sys.file_exists dir then begin
-      Array.iter
-        (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-        (Sys.readdir dir);
-      try Unix.rmdir dir with Unix.Unix_error _ -> ()
-    end
+  (* The stack keeps its state under dir/shard-0, so clean up recursively. *)
+  let rec rm_rf path =
+    if Sys.file_exists path then
+      if Sys.is_directory path then begin
+        Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+        try Unix.rmdir path with Unix.Unix_error _ -> ()
+      end
+      else try Sys.remove path with Sys_error _ -> ()
   in
+  let cleanup () = rm_rf dir in
   cleanup ();
   Fun.protect ~finally:cleanup @@ fun () ->
   let params = Core.Params.make ~n:1 ~d:7000 ~u:5500 ~eps:0 ~x:0 () in
@@ -708,6 +799,12 @@ let () =
             test_tcp_cluster_in_process;
           Alcotest.test_case "reconnect with backoff" `Quick
             test_tcp_reconnect_backoff;
+          Alcotest.test_case "foreign shard tag refused" `Quick
+            test_serve_refuses_foreign_shard;
+          Alcotest.test_case "out-of-range chaos scope refused" `Quick
+            test_serve_refuses_foreign_chaos_scope;
+          Alcotest.test_case "child exits name their signal" `Quick
+            test_status_string_names_signals;
         ] );
       ( "durable",
         [

@@ -176,7 +176,7 @@ let test_zipf_shape () =
 (* ---- in-process multi-shard host cluster ---- *)
 
 let test_host_cluster_in_process () =
-  let module H = Shard.Host.Make (Net.Wire.Kv_wired) in
+  let module S = Net.Serve.Make (Net.Wire.Kv_wired) in
   let module Cl = Net.Client.Make (Net.Wire.Kv_wired) in
   let n = 3 and shards = 4 in
   let params =
@@ -195,10 +195,9 @@ let test_host_cluster_in_process () =
   let start_us = Some (Prelude.Mclock.now_us ()) in
   let handles =
     Array.init n (fun pid ->
-        H.start ~listener:listeners.(pid)
+        S.start ~listener:listeners.(pid) ~shards
           {
-            Shard.Host.pid;
-            shards;
+            Net.Serve.pid;
             addrs;
             params;
             offset = pid * 100;
@@ -207,8 +206,8 @@ let test_host_cluster_in_process () =
             durable = None;
             fsync = Durable.Wal.Never;
             snapshot_every = 0;
-            chaos = None;
             fallback = None;
+            sync = None;
             log = (fun _ -> ());
           })
   in
@@ -260,12 +259,93 @@ let test_host_cluster_in_process () =
   Array.iter Cl.close conns;
   Array.iter
     (fun h ->
-      let records, stats = H.stop h in
-      Alcotest.(check bool) "host recorded ops on some shard" true
-        (Array.exists (fun per_shard -> per_shard <> []) records);
+      let records, stats = S.stop h in
+      Alcotest.(check bool) "host recorded ops" true (records <> []);
       Alcotest.(check bool) "host transport sent messages" true
         (stats.Runtime.Transport_intf.sent > 0))
     handles
+
+(* Sync parity: clock sync armed on a 3-replica 2-shard cluster runs one
+   estimator per shard instance, and every shard of every replica
+   publishes achieved-ε rounds through the host's logging. *)
+let test_host_sync_every_shard () =
+  let module S = Net.Serve.Make (Net.Wire.Kv_wired) in
+  (* Probes keep flowing while the stacks stop one by one: a write to a
+     just-closed peer must surface as EPIPE, not kill the test process. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let n = 3 and shards = 2 in
+  let params =
+    Core.Params.make ~n ~d:7000 ~u:5500
+      ~eps:(Core.Params.optimal_eps ~n:3 ~u:5500)
+      ~x:0 ()
+  in
+  let listeners =
+    Array.init n (fun _ -> Net.Tcp_transport.listen ~host:"127.0.0.1" ~port:0)
+  in
+  let addrs =
+    Array.map
+      (fun (l : Net.Tcp_transport.listener) -> ("127.0.0.1", l.port))
+      listeners
+  in
+  let lock = Mutex.create () in
+  let lines = ref [] in
+  let log s =
+    Mutex.lock lock;
+    lines := s :: !lines;
+    Mutex.unlock lock
+  in
+  let published pid k =
+    let prefix = Printf.sprintf "replica %d shard %d: sync eps=" pid k in
+    let lp = String.length prefix in
+    Mutex.lock lock;
+    let seen =
+      List.exists
+        (fun l -> String.length l >= lp && String.sub l 0 lp = prefix)
+        !lines
+    in
+    Mutex.unlock lock;
+    seen
+  in
+  let all_published () =
+    List.for_all
+      (fun pid -> List.for_all (published pid) (List.init shards Fun.id))
+      (List.init n Fun.id)
+  in
+  let start_us = Some (Prelude.Mclock.now_us ()) in
+  let sync =
+    Sync.Config.make ~interval_us:20_000 ~d:params.Core.Params.d
+      ~u:params.Core.Params.u ()
+  in
+  let handles =
+    Array.init n (fun pid ->
+        S.start ~listener:listeners.(pid) ~shards
+          {
+            Net.Serve.pid;
+            addrs;
+            params;
+            offset = pid * 100;
+            start_us;
+            trace = None;
+            durable = None;
+            fsync = Durable.Wal.Never;
+            snapshot_every = 0;
+            fallback = None;
+            sync = Some sync;
+            log;
+          })
+  in
+  let deadline = Prelude.Mclock.now_us () + 10_000_000 in
+  while (not (all_published ())) && Prelude.Mclock.now_us () < deadline do
+    Prelude.Mclock.sleep_us 20_000
+  done;
+  Array.iter (fun h -> ignore (S.stop h)) handles;
+  for pid = 0 to n - 1 do
+    for k = 0 to shards - 1 do
+      Alcotest.(check bool)
+        (Printf.sprintf "replica %d shard %d published a sync round" pid k)
+        true (published pid k)
+    done
+  done
 
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
@@ -298,5 +378,7 @@ let () =
         [
           Alcotest.test_case "in-process 3-replica 4-shard cluster" `Quick
             test_host_cluster_in_process;
+          Alcotest.test_case "sync armed on every shard" `Quick
+            test_host_sync_every_shard;
         ] );
     ]
